@@ -88,7 +88,8 @@ def _write_manifest(
 
 
 def _print_json(d: dict) -> None:
-    print(json.dumps(d, indent=2))
+    # strict JSON: a NaN or infinity that reaches here raises ValueError
+    print(json.dumps(d, indent=2, allow_nan=False))
 
 
 def _cmd_simulate(args, argv: list[str]) -> int:

@@ -6,13 +6,15 @@ schedule yields a linear system
     y = Psi @ theta,    y[k] = x[k+1] - x[k],   k = 0 .. final_step - 1,
 
 with theta = [beta0, gamma0, alpha1, beta1, gamma1, ...] and Psi block
-diagonal, one block per interval:
+diagonal, one block per interval.  Every row belongs to exactly one block,
+so Psi is stored compactly with three columns:
 
-  block 0 (2 columns) holds the ordinary rows of the opening interval,
-      row k = [ h (1 - x[k]) x[k],  -h x[k] ];
-  block i >= 1 (3 columns) opens with the release row
-      row T_i - 1 = [ x[T_i - 1],  0,  0 ]
-  followed by its ordinary rows in the trailing two columns.
+  ordinary row k = [ 0,  h (1 - x[k]) x[k],  -h x[k] ],
+  release row T_i - 1 = [ x[T_i - 1],  0,  0 ].
+
+Block 0 holds interval 0's ordinary rows in the trailing two columns; block
+i >= 1 holds interval i's release row and ordinary rows in all three.  The
+theta columns of block i are model.theta_slice(i).
 
 Ordinary rows of interval i cover k = T_i .. T_{i+1} - 2, except that the
 last interval keeps its tail and runs through final_step - 1 (the range is
@@ -26,12 +28,13 @@ A block is uniquely solvable exactly when
     nonzero shares suffice,
   * the release row is nonzero: x[T_i - 1] != 0.
 check_identifiability evaluates these condition by condition and also reports
-numeric ranks so the two views can be compared.
+numeric ranks so the two views can be compared.  Psi's rank is the sum of
+the block ranks, because the blocks share no rows or columns.
 
 Solving is per block (the blocks share no columns, so this is exactly the
-full least-squares solution) through LAPACK's column-pivoted complete
-orthogonal factorization (gelsy), which returns the minimum-norm solution on
-rank-deficient blocks.
+full least-squares solution), one SVD-based LAPACK solve (gelsd) each, which
+returns the minimum-norm solution on rank-deficient blocks and the block's
+rank under the same RANK_RTOL rule that check_identifiability applies.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import (
     HybridModelSpec,
@@ -48,6 +50,7 @@ from .model import (
     Trajectory,
     UpdateSchedule,
     parameter_names,
+    theta_slice,
     theta_unpack,
 )
 from .simulate import _sis_rate
@@ -77,13 +80,19 @@ VARIATION_TOL = 1e-12
 RANK_RTOL = 1e-10
 
 
+def _json_float(v: float | None) -> float | None:
+    """v, or None (JSON null) where v is NaN or infinite, which strict JSON lacks."""
+    return v if v is None or np.isfinite(v) else None
+
+
 class RankDeficiencyWarning(UserWarning):
     """A regression block was numerically rank deficient."""
 
 
 @dataclass(frozen=True)
 class BlockSlice:
-    """Row/column extent of one interval's diagonal block (half-open)."""
+    """Row extent of one interval's diagonal block and the theta columns it
+    solves for (both half-open)."""
 
     interval: int
     row_start: int
@@ -91,20 +100,22 @@ class BlockSlice:
     col_start: int
     col_stop: int
 
+    @property
+    def width(self) -> int:
+        return self.col_stop - self.col_start
+
 
 @dataclass(frozen=True)
 class RegressionSystem:
+    """y and the compact (final_step, 3) Psi described in the module notes."""
+
     y: np.ndarray
     psi: np.ndarray
     blocks: tuple[BlockSlice, ...]
 
-    @property
-    def n_updates(self) -> int:
-        return len(self.blocks) - 1
-
     def block_matrix(self, i: int) -> np.ndarray:
         b = self.blocks[i]
-        return self.psi[b.row_start : b.row_stop, b.col_start : b.col_stop]
+        return self.psi[b.row_start : b.row_stop, 3 - b.width :]
 
     def block_rhs(self, i: int) -> np.ndarray:
         b = self.blocks[i]
@@ -120,65 +131,52 @@ def _check_step_sizes(traj: Trajectory, schedule: UpdateSchedule) -> None:
 
 
 def build_regression(traj: Trajectory, schedule: UpdateSchedule) -> RegressionSystem:
-    """Assemble y and the block-diagonal Psi for a trajectory and schedule."""
+    """Assemble y and the compact block-diagonal Psi for a trajectory and schedule."""
     _check_step_sizes(traj, schedule)
     x = traj.values
     m = schedule.n_updates
     n_rows = schedule.final_step
-    for i in range(m + 1):
-        need = schedule.sis_index_range(i).stop  # highest sample index used + 0/1
-        if i > 0:
-            need = max(need, schedule.jump_step(i))
-        if len(traj) - 1 < need:
-            raise ValueError(
-                f"interval {i} needs samples through index {need} but the "
-                f"trajectory ends at index {len(traj) - 1}"
-            )
+    # the last interval's ordinary rows run through final_step - 1, so its
+    # flow needs the most samples of any interval
+    if len(traj) - 1 < n_rows:
+        raise ValueError(
+            f"interval {m} needs samples through index {n_rows} but the "
+            f"trajectory ends at index {len(traj) - 1}"
+        )
     h = schedule.step_size
 
     y = np.diff(x[: n_rows + 1])
-    psi = np.zeros((n_rows, 2 + 3 * m), dtype=float)
+    xk = x[:n_rows]
+    psi = np.zeros((n_rows, 3), dtype=float)
+    psi[:, 1] = h * (1.0 - xk) * xk
+    psi[:, 2] = -h * xk
+    # release rows hold the pre-release share in column 0 only
+    release_rows = [t - 1 for t in schedule.update_steps]
+    psi[release_rows, 0] = xk[release_rows]
+    psi[release_rows, 1:] = 0.0
     blocks: list[BlockSlice] = []
     for i in range(m + 1):
-        ks = schedule.sis_index_range(i)
-        if i == 0:
-            col = 0
-            row_start = 0
-            bcol, gcol = col, col + 1
-            col_stop = 2
-        else:
-            col = 2 + 3 * (i - 1)
-            row_start = schedule.jump_step(i) - 1
-            psi[row_start, col] = x[row_start]  # release row, pre-release share
-            bcol, gcol = col + 1, col + 2
-            col_stop = col + 3
-        if len(ks) > 0:
-            xk = x[ks.start : ks.stop]
-            psi[ks.start : ks.stop, bcol] = h * (1.0 - xk) * xk
-            psi[ks.start : ks.stop, gcol] = -h * xk
-        # ks.stop bounds the block's rows in every case: an empty ordinary
-        # range leaves interval 0 with no rows and a later interval with just
-        # its release row
-        row_stop = ks.stop
+        cols = theta_slice(i)
+        # the ordinary range's stop bounds the block's rows in every case: an
+        # empty range leaves interval 0 with no rows and a later interval with
+        # just its release row
         blocks.append(
             BlockSlice(
                 interval=i,
-                row_start=row_start,
-                row_stop=row_stop,
-                col_start=col if i > 0 else 0,
-                col_stop=col_stop,
+                row_start=0 if i == 0 else release_rows[i - 1],
+                row_stop=schedule.sis_index_range(i).stop,
+                col_start=cols.start,
+                col_stop=cols.stop,
             )
         )
     return RegressionSystem(y=y, psi=psi, blocks=tuple(blocks))
 
 
-def _svd_rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
+def _svd_rank(a: np.ndarray) -> int:
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
+    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
 def _has_variation(values: np.ndarray) -> bool:
@@ -254,7 +252,8 @@ def check_identifiability(
 
     All three hold for every interval exactly when the full system has a
     unique least-squares solution; the report also carries the numeric rank
-    of each block and of Psi so the algebraic verdict can be cross-checked.
+    of each block and of Psi (their sum) so the algebraic verdict can be
+    cross-checked.
     """
     _check_step_sizes(traj, schedule)
     x = traj.values
@@ -275,15 +274,14 @@ def check_identifiability(
                 variation_ok=variation_ok,
                 jump_state_ok=jump_ok,
                 rank=_svd_rank(system.block_matrix(i)),
-                required_rank=2 if i == 0 else 3,
+                required_rank=system.blocks[i].width,
             )
         )
-    required = 2 + 3 * schedule.n_updates
     return IdentifiabilityReport(
         intervals=tuple(conditions),
         overall=all(c.ok for c in conditions),
-        psi_rank=_svd_rank(system.psi),
-        required_rank=required,
+        psi_rank=sum(c.rank for c in conditions),
+        required_rank=sum(c.required_rank for c in conditions),
     )
 
 
@@ -307,7 +305,7 @@ class EstimationResult:
                 )
                 for p in self.intervals_hat
             ],
-            "r0": [v if np.isfinite(v) else None for v in self.r0_hat],
+            "r0": [_json_float(v) for v in self.r0_hat],
             "residual_norm": float(self.residual_norm),
             "unique": self.unique,
             "block_ranks": list(self.block_ranks),
@@ -315,49 +313,44 @@ class EstimationResult:
 
 
 def estimate(system: RegressionSystem) -> EstimationResult:
-    """Solve each diagonal block by column-pivoted orthogonal factorization.
+    """Solve each diagonal block with one SVD-based least-squares solve.
 
     Blocks decouple, so per-block solves give the full least-squares answer
     at better conditioning than one stacked solve.  A block whose numeric
     rank falls short gets the minimum-norm solution and the result is flagged
     non-unique (with a RankDeficiencyWarning).
     """
-    n_cols = system.psi.shape[1]
-    theta = np.zeros(n_cols, dtype=float)
+    theta = np.zeros(system.blocks[-1].col_stop, dtype=float)
     ranks: list[int] = []
     unique = True
+    residual_sq = 0.0
     for i, b in enumerate(system.blocks):
         a = system.block_matrix(i)
         rhs = system.block_rhs(i)
-        width = b.col_stop - b.col_start
-        if a.shape[0] == 0:
-            sol = np.zeros(width)
-            rank = 0
-        else:
-            sol, _, rank, _ = scipy.linalg.lstsq(
-                a, rhs, cond=RANK_RTOL, lapack_driver="gelsy"
-            )
-            rank = _svd_rank(a)  # report ranks on the same footing everywhere
-        if rank < width:
+        # gelsd counts singular values above RANK_RTOL * s_max, the _svd_rank rule
+        sol, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=RANK_RTOL)
+        rank = int(rank)
+        if rank < b.width:
             unique = False
             warnings.warn(
-                f"interval {i}: regression block has rank {rank} < {width}; "
+                f"interval {i}: regression block has rank {rank} < {b.width}; "
                 "returning the minimum-norm solution",
                 RankDeficiencyWarning,
                 stacklevel=2,
             )
         theta[b.col_start : b.col_stop] = sol
         ranks.append(rank)
+        r = rhs - a @ sol
+        residual_sq += float(r @ r)
     intervals = theta_unpack(theta)
     r0 = tuple(
         (p.beta / p.gamma) if p.gamma != 0.0 else float("nan") for p in intervals
     )
-    residual = float(np.linalg.norm(system.y - system.psi @ theta))
     return EstimationResult(
         theta_hat=theta,
         intervals_hat=intervals,
         r0_hat=r0,
-        residual_norm=residual,
+        residual_norm=float(np.sqrt(residual_sq)),
         block_ranks=tuple(ranks),
         unique=unique,
     )
@@ -377,9 +370,9 @@ class MetricEntry:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "true": self.true,
-            "estimate": self.estimate,
-            "error": self.error if np.isfinite(self.error) else None,
+            "true": _json_float(self.true),
+            "estimate": _json_float(self.estimate),
+            "error": _json_float(self.error),
             "relative": self.relative,
         }
 

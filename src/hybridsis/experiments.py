@@ -33,6 +33,7 @@ import numpy as np
 from .estimate import (
     EstimationResult,
     IdentifiabilityReport,
+    _json_float,
     build_regression,
     check_identifiability,
     estimate,
@@ -43,9 +44,11 @@ from .model import (
     Scenario,
     Trajectory,
     UpdateSchedule,
+    _load_json_object,
     parameter_names,
     scenario_from_dict,
     scenario_to_dict,
+    theta_unpack,
 )
 from .simulate import SimulationConfig, _sis_rate, add_observation_noise, simulate_ct, simulate_sde
 
@@ -165,13 +168,7 @@ def _grid(plan: ExperimentPlan):
 def load_plan(path: str | Path) -> ExperimentPlan:
     """Read a study plan JSON: a 'scenario' object plus optional overrides
     for regimes, h_values, sigma, trials, seed and fine_substeps."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(d, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+    d = _load_json_object(path)
     allowed = {"scenario", "regimes", "h_values", "sigma", "trials", "seed", "fine_substeps"}
     extra = set(d) - allowed
     if extra:
@@ -218,14 +215,12 @@ class StudyCell:
 
     def r0_matrix(self) -> np.ndarray:
         """Per-trial reproduction numbers, one column per interval."""
-        thetas = self.theta_matrix()
-        cols = []
-        for i in range(self.n_intervals):
-            b = thetas[:, 0] if i == 0 else thetas[:, 2 + 3 * (i - 1) + 1]
-            g = thetas[:, 1] if i == 0 else thetas[:, 2 + 3 * (i - 1) + 2]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cols.append(np.where(g != 0.0, b / g, np.nan))
-        return np.column_stack(cols)
+        return np.array(
+            [
+                [p.beta / p.gamma if p.gamma != 0.0 else np.nan for p in theta_unpack(t)]
+                for t in self.theta_hats
+            ]
+        )
 
     def param_rel_errors(self) -> np.ndarray:
         return np.vstack([_rel_errors(self.theta_true, t) for t in self.theta_hats])
@@ -233,15 +228,6 @@ class StudyCell:
     def r0_rel_errors(self) -> np.ndarray:
         r0s = self.r0_matrix()
         return np.vstack([_rel_errors(self.r0_true, row) for row in r0s])
-
-    def median_param_rel_errors(self) -> np.ndarray:
-        return np.median(self.param_rel_errors(), axis=0)
-
-    def median_r0_rel_errors(self) -> np.ndarray:
-        return np.median(self.r0_rel_errors(), axis=0)
-
-    def max_r0_rel_errors(self) -> np.ndarray:
-        return np.max(self.r0_rel_errors(), axis=0)
 
 
 @dataclass
@@ -359,10 +345,6 @@ def _g17(x: float) -> str:
     return format(x, ".17g")
 
 
-def _subsampled(master: Trajectory, stride: int, h: float) -> Trajectory:
-    return Trajectory(values=master.values[::stride], step_size=h)
-
-
 def _run_cell_trial(cell: StudyCell, traj: Trajectory, schedule: UpdateSchedule) -> None:
     """Estimate one trial into a cell; an identifiability failure marks the
     whole cell failed and later trials are skipped."""
@@ -415,12 +397,12 @@ def run_noise_study(plan: ExperimentPlan) -> NoiseStudyResult:
                 master = simulate_sde(master_spec, x0, cfg)
                 for h in plan.h_values:
                     sched_h, stride = per_h[h]
-                    _run_cell_trial(regime_cells[h], _subsampled(master, stride, h), sched_h)
+                    _run_cell_trial(regime_cells[h], master.subsample(stride, h), sched_h)
         else:
             assert clean_master is not None
             for h in plan.h_values:
                 sched_h, stride = per_h[h]
-                base = _subsampled(clean_master, stride, h)
+                base = clean_master.subsample(stride, h)
                 for trial in range(n_trials):
                     if regime == "observation":
                         traj = add_observation_noise(
@@ -484,7 +466,7 @@ class HoldoutResult:
             "ok": self.ok,
             "identifiability": self.identifiability.to_dict(),
             "estimation": self.estimation.to_dict() if self.estimation else None,
-            "forecast_rmse_counts": self.forecast_rmse_counts,
+            "forecast_rmse_counts": _json_float(self.forecast_rmse_counts),
         }
 
 
@@ -511,9 +493,9 @@ class FitReport:
             "start_at_update": self.dataset.start_at_update,
             "identifiability": self.identifiability.to_dict(),
             "estimation": self.estimation.to_dict() if self.estimation else None,
-            "rmse_counts": self.rmse_counts,
+            "rmse_counts": _json_float(self.rmse_counts),
             "per_interval_rmse_counts": (
-                list(self.per_interval_rmse_counts)
+                [_json_float(v) for v in self.per_interval_rmse_counts]
                 if self.per_interval_rmse_counts is not None
                 else None
             ),

@@ -40,6 +40,7 @@ __all__ = [
     "Scenario",
     "theta_pack",
     "theta_unpack",
+    "theta_slice",
     "parameter_names",
     "reproduction_number",
     "load_scenario",
@@ -184,6 +185,12 @@ def theta_unpack(theta: Sequence[float] | np.ndarray) -> tuple[IntervalParams, .
     for j in range(2, vec.size, 3):
         intervals.append(IntervalParams(alpha=vec[j], beta=vec[j + 1], gamma=vec[j + 2]))
     return tuple(intervals)
+
+
+def theta_slice(interval: int) -> slice:
+    """Where interval >= 0 sits in theta: [beta_0, gamma_0] for interval 0,
+    [alpha_i, beta_i, gamma_i] for interval i >= 1."""
+    return slice(0, 2) if interval == 0 else slice(3 * interval - 1, 3 * interval + 2)
 
 
 def parameter_names(n_updates: int) -> list[str]:
@@ -382,7 +389,8 @@ def scenario_from_dict(d: dict) -> Scenario:
     return Scenario(spec=spec, x0=d["x0"], population=d.get("population"))
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def _load_json_object(path: str | Path) -> dict:
+    """Parse a JSON file whose top level must be an object."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             d = json.load(fh)
@@ -390,7 +398,11 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    return scenario_from_dict(d)
+    return d
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    return scenario_from_dict(_load_json_object(path))
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
@@ -405,13 +417,7 @@ def load_schedule(path: str | Path) -> UpdateSchedule:
     Accepts any object carrying 'h', 'update_steps' and 'final_step';
     parameter fields, when present, are ignored here.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(d, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+    d = _load_json_object(path)
     for key in ("h", "update_steps", "final_step"):
         if key not in d:
             raise ValueError(f"{path}: missing field '{key}'")

@@ -313,8 +313,9 @@ def write_trajectory_csv(traj: Trajectory, path, *, digits: int = 17) -> None:
 def read_trajectory_csv(path: str | Path) -> Trajectory:
     """Read a trajectory written by write_trajectory_csv.
 
-    The step size is recovered from the time column; any count column is
-    ignored (the population scale is not stored in the file).
+    The step size h is recovered from the first two times, and every time
+    must equal k * h to a relative 1e-9; any count column is ignored (the
+    population scale is not stored in the file).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -323,6 +324,7 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
             raise ValueError(f"{path}: expected header step,time,x[,count]")
         values: list[float] = []
         times: list[float] = []
+        linenos: list[int] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -338,9 +340,20 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
                 raise ValueError(f"{path}:{lineno}: step {step} out of order")
             values.append(x)
             times.append(t)
+            linenos.append(lineno)
     if len(values) < 2:
         raise ValueError(f"{path}: a trajectory needs at least 2 samples")
     h = times[1] - times[0]
     if h <= 0.0:
         raise ValueError(f"{path}: non-positive step size {h}")
+    t = np.asarray(times)
+    grid = np.arange(t.size) * h
+    # written as "not within" so that a NaN time is off the grid too
+    off = ~(np.abs(t - grid) <= 1e-9 * np.maximum(1.0, np.maximum(np.abs(t), np.abs(grid))))
+    if off.any():
+        k = int(np.argmax(off))
+        raise ValueError(
+            f"{path}:{linenos[k]}: time {times[k]!r} is off the even grid "
+            f"k*h = {grid[k]!r} (h = {h!r} from the first two rows)"
+        )
     return Trajectory(values=np.asarray(values), step_size=h)

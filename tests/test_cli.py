@@ -159,6 +159,17 @@ def test_estimate_schedule_mismatch_is_validation_error(tmp_path, capsys):
     assert err.startswith("error:") and "step size" in err
 
 
+def test_estimate_rejects_uneven_time_column(tmp_path, capsys):
+    traj_path = tmp_path / "traj.csv"
+    traj_path.write_text("step,time,x\n0,0,0.1\n1,1,0.2\n2,2,0.3\n3,3.5,0.4\n4,4,0.5\n")
+    sched_path = write_schedule(tmp_path / "sched.json", [], 4)
+    code, out, err = run_cli(
+        capsys, "estimate", "--traj", str(traj_path), "--schedule", str(sched_path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {traj_path}:5:") and "3.5" in err
+
+
 def test_usage_and_missing_file_errors(tmp_path, capsys):
     assert run_cli(capsys, "simulate", "--scenario", "/does/not/exist.json",
                    "--mode", "dt", "--out", str(tmp_path / "x.csv"))[0] == 2
@@ -247,6 +258,41 @@ def test_fit_window_and_smoothing(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["smoothed"] is True
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_fit_prints_strict_json_when_the_refit_overflows(tmp_path, capsys):
+    # a large release followed by a large drop, smoothed over 7 days: the
+    # refit recursion from the estimates overflows, and the RMSE it scores
+    # must print as null, not as bare Infinity or NaN
+    counts = [
+        50000, 63750, 80843, 101828, 127192, 157261, 192073, 231249, 273886,
+        318545, 955635, 820345, 725296, 654357, 599177, 554931, 518618, 488260,
+        462495, 440353, 176141, 185999, 195950, 205946, 215937, 225873, 235706,
+        245387, 254872, 264120, 273092,
+    ]
+    start = dt.date(2024, 1, 1)
+    data = tmp_path / "players.csv"
+    rows = ["date,peak_players"] + [
+        f"{start + dt.timedelta(days=i)},{c}" for i, c in enumerate(counts)
+    ]
+    data.write_text("\n".join(rows) + "\n")
+    updates = tmp_path / "updates.txt"
+    updates.write_text(
+        f"{start + dt.timedelta(days=10)}\n{start + dt.timedelta(days=20)}\n"
+    )
+    code, out, _ = run_cli(
+        capsys, "fit", "--data", str(data), "--updates", str(updates),
+        "--population", "1000000", "--smooth7",
+    )
+    assert code == 0
+    d = json.loads(out, parse_constant=_reject_constant)
+    assert d["ok"] is True
+    assert d["rmse_counts"] is None
+    assert None in d["per_interval_rmse_counts"]
 
 
 def test_fit_degenerate_data_exits_3(tmp_path, capsys):

@@ -26,22 +26,22 @@ def test_regression_small_system_by_hand():
     system = build_regression(traj, sched)
 
     np.testing.assert_array_equal(system.y, np.diff(x))
-    assert system.psi.shape == (5, 5)
+    # compact layout: row k = [release entry, h (1 - x) x, -h x]
+    assert system.psi.shape == (5, 3)
     h = 0.5
-    expected = np.zeros((5, 5))
-    for k in (0, 1):
-        expected[k, 0] = h * (1.0 - x[k]) * x[k]
-        expected[k, 1] = -h * x[k]
-    expected[2, 2] = x[2]
-    for k in (3, 4):
-        expected[k, 3] = h * (1.0 - x[k]) * x[k]
-        expected[k, 4] = -h * x[k]
+    expected = np.zeros((5, 3))
+    for k in (0, 1, 3, 4):
+        expected[k, 1] = h * (1.0 - x[k]) * x[k]
+        expected[k, 2] = -h * x[k]
+    expected[2, 0] = x[2]
     np.testing.assert_array_equal(system.psi, expected)
 
     assert [(b.row_start, b.row_stop) for b in system.blocks] == [(0, 2), (2, 5)]
     assert [(b.col_start, b.col_stop) for b in system.blocks] == [(0, 2), (2, 5)]
-    np.testing.assert_array_equal(system.block_matrix(1), expected[2:5, 2:5])
+    np.testing.assert_array_equal(system.block_matrix(0), expected[0:2, 1:3])
+    np.testing.assert_array_equal(system.block_matrix(1), expected[2:5, 0:3])
     np.testing.assert_array_equal(system.block_rhs(0), system.y[0:2])
+    np.testing.assert_array_equal(system.block_rhs(1), system.y[2:5])
 
 
 def test_regression_demo_shape(demo_scenario):
@@ -49,22 +49,39 @@ def test_regression_demo_shape(demo_scenario):
     traj = simulate_dt(spec, demo_scenario.x0)
     system = build_regression(traj, spec.schedule)
     assert system.y.shape == (150,)
-    assert system.psi.shape == (150, 8)
+    assert system.psi.shape == (150, 3)
     assert [(b.row_start, b.row_stop) for b in system.blocks] == [
         (0, 29), (29, 89), (89, 150),
     ]
-    # release rows hold the pre-release share in the alpha column only
-    assert system.psi[29, 2] == traj.values[29]
-    assert np.count_nonzero(system.psi[29]) == 1
-    assert system.psi[89, 5] == traj.values[89]
+    assert [(b.col_start, b.col_stop) for b in system.blocks] == [(0, 2), (2, 5), (5, 8)]
+    # release rows hold the pre-release share in the release column only
+    for row in (29, 89):
+        assert system.psi[row, 0] == traj.values[row]
+        assert np.count_nonzero(system.psi[row]) == 1
+    # and every other row leaves the release column empty
+    assert np.count_nonzero(system.psi[:, 0]) == 2
+    np.testing.assert_array_equal(system.block_matrix(2), system.psi[89:150, 0:3])
+    np.testing.assert_array_equal(system.block_rhs(2), system.y[89:150])
 
 
 def test_regression_no_updates():
     sched = UpdateSchedule((), 4, 1.0)
     x = np.array([0.2, 0.3, 0.4, 0.45, 0.5])
     system = build_regression(Trajectory(values=x, step_size=1.0), sched)
-    assert system.psi.shape == (4, 2)
+    assert system.psi.shape == (4, 3)
+    assert not system.psi[:, 0].any()
     assert len(system.blocks) == 1
+    assert system.block_matrix(0).shape == (4, 2)
+
+
+def test_regression_is_compact_for_many_releases():
+    # m=300 releases: Psi stays 3 columns wide instead of 2 + 3m
+    sched = UpdateSchedule(tuple(range(10, 3010, 10)), 3010, 0.1)
+    traj = Trajectory(values=np.linspace(0.1, 0.5, 3011), step_size=0.1)
+    system = build_regression(traj, sched)
+    assert system.psi.shape == (3010, 3)
+    assert system.blocks[-1].col_stop == 2 + 3 * 300
+    assert system.block_matrix(300).shape == (11, 3)
 
 
 def test_regression_rejects_short_trajectory(demo_scenario):

@@ -209,6 +209,9 @@ def test_realdata_study_holdout():
     assert hold.forecast_rmse_counts < 1e-3  # exact data, exact tail forecast
     assert len(hold.forecast_values) == 21
     assert report.to_dict()["holdout"]["ok"] is True
+    # a diverged tail forecast is written as null, which strict JSON allows
+    hold.forecast_rmse_counts = float("inf")
+    assert report.to_dict()["holdout"]["forecast_rmse_counts"] is None
 
 
 def test_realdata_study_holdout_drops_tail_releases():
