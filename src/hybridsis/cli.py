@@ -94,17 +94,18 @@ def _print_json(d: dict) -> None:
 
 def _cmd_simulate(args, argv: list[str]) -> int:
     started = time.time()
+    if args.substeps != 1 and args.mode != "sde":
+        raise ValueError(
+            f"--substeps applies to --mode sde only, not to --mode {args.mode}"
+        )
     scenario = load_scenario(args.scenario)
     spec = scenario.spec
     if args.mode == "dt":
         traj = simulate_dt(spec, scenario.x0)
     elif args.mode == "ct":
-        cfg = SimulationConfig(x0=scenario.x0, fine_substeps=args.substeps)
-        traj = simulate_ct(spec, scenario.x0, cfg)
+        traj = simulate_ct(spec, scenario.x0)
     else:
-        cfg = SimulationConfig(
-            x0=scenario.x0, seed=args.seed, sigma=args.sigma, fine_substeps=args.substeps
-        )
+        cfg = SimulationConfig(seed=args.seed, sigma=args.sigma, fine_substeps=args.substeps)
         traj = simulate_sde(spec, scenario.x0, cfg)
     if scenario.population is not None:
         traj = Trajectory(
@@ -233,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a trajectory from a scenario file")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--mode", required=True, choices=["ct", "dt", "sde"])
-    p.add_argument("--substeps", type=int, default=1, help="integrator sub-steps per sample")
+    p.add_argument(
+        "--substeps", type=int, default=1, help="Euler-Maruyama sub-steps per sample (sde)"
+    )
     p.add_argument("--sigma", type=float, default=0.0, help="demand noise scale (sde)")
     p.add_argument("--seed", type=int, default=0, help="noise seed (sde)")
     p.add_argument("--out", required=True, help="output trajectory CSV path")

@@ -39,6 +39,7 @@ rank under the same RANK_RTOL rule that check_identifiability applies.
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from dataclasses import dataclass
 
@@ -53,7 +54,7 @@ from .model import (
     theta_slice,
     theta_unpack,
 )
-from .simulate import _sis_rate
+from .simulate import _recurse
 
 __all__ = [
     "VARIATION_TOL",
@@ -454,20 +455,16 @@ def forecast(
                 f"nothing to forecast: the schedule ends at step {sched.final_step} "
                 f"and the start step is {start_step}"
             )
-    jump_alpha = {
-        sched.jump_step(i): spec.intervals[i].alpha for i in range(1, sched.n_intervals)
-    }
-    values = [float(x_start)]
-    x = float(x_start)
-    for j in range(horizon):
-        k = start_step + j
-        if (k + 1) in jump_alpha:
-            x = (1.0 + jump_alpha[k + 1]) * x
-        else:
-            if k < sched.final_step:
-                p = spec.intervals[sched.active_interval(k)]
-            else:
-                p = spec.intervals[-1]
-            x = x + h * _sis_rate(x, p.beta, p.gamma)
-        values.append(x)
-    return Trajectory(values=np.asarray(values), step_size=h)
+    # the recursion on the window shifted to start_step; the extra sample
+    # keeps a release on the last forecast sample a valid schedule
+    first = bisect.bisect_right(sched.update_steps, start_step)
+    last = bisect.bisect_right(sched.update_steps, start_step + horizon)
+    window = UpdateSchedule(
+        update_steps=tuple(t - start_step for t in sched.update_steps[first:last]),
+        final_step=horizon + 1,
+        step_size=h,
+    )
+    values, _ = _recurse(
+        window, spec.intervals[first : last + 1], x_start, on_jump_escape=None
+    )
+    return Trajectory(values=values[:-1], step_size=h)

@@ -50,7 +50,7 @@ from .model import (
     scenario_to_dict,
     theta_unpack,
 )
-from .simulate import SimulationConfig, _sis_rate, add_observation_noise, simulate_ct, simulate_sde
+from .simulate import SimulationConfig, _recurse, add_observation_noise, simulate_ct, simulate_sde
 
 __all__ = [
     "REGIMES",
@@ -375,9 +375,7 @@ def run_noise_study(plan: ExperimentPlan) -> NoiseStudyResult:
 
     clean_master: Trajectory | None = None
     if "noiseless" in plan.regimes or "observation" in plan.regimes:
-        clean_master = simulate_ct(
-            master_spec, x0, SimulationConfig(fine_substeps=1), method="rk4"
-        )
+        clean_master = simulate_ct(master_spec, x0)
 
     cells: list[StudyCell] = []
     for regime in plan.regimes:
@@ -418,27 +416,6 @@ def run_noise_study(plan: ExperimentPlan) -> NoiseStudyResult:
 
 
 # --- real-data fitting ------------------------------------------------------
-
-
-def _resimulate(schedule: UpdateSchedule, intervals, x0: float) -> np.ndarray:
-    """The sampled recursion on raw parameter records.
-
-    Same arithmetic as simulate_dt, without range policing: least-squares
-    estimates may fall outside the generative parameter ranges, and the
-    recursion is still well defined there.
-    """
-    h = schedule.step_size
-    xs = np.empty(schedule.n_samples, dtype=float)
-    x = float(x0)
-    xs[0] = x
-    for i, p in enumerate(intervals):
-        if i > 0:
-            x = (1.0 + p.alpha) * x
-            xs[schedule.jump_step(i)] = x
-        for k in schedule.sis_index_range(i):
-            x = x + h * _sis_rate(x, p.beta, p.gamma)
-            xs[k + 1] = x
-    return xs
 
 
 def _interval_of_sample(schedule: UpdateSchedule, n_samples: int) -> np.ndarray:
@@ -529,7 +506,9 @@ def run_realdata_study(dataset: AlignedDataset, holdout: int | None = None) -> F
         return FitReport(dataset=dataset, ok=False, identifiability=report)
 
     result = estimate(system)
-    sim = _resimulate(sched, result.intervals_hat, traj.values[0])
+    # the sampled recursion on the raw estimates: least-squares values may
+    # leave the generative ranges, and the recursion is still defined there
+    sim, _ = _recurse(sched, result.intervals_hat, traj.values[0], on_jump_escape=None)
     diff = (sim - traj.values) * n
     rmse = float(np.sqrt(np.mean(diff**2)))
     owner = _interval_of_sample(sched, len(traj))
@@ -575,14 +554,12 @@ def run_realdata_study(dataset: AlignedDataset, holdout: int | None = None) -> F
             )
         else:
             prefix_est = estimate(prefix_system)
-            last = prefix_est.intervals_hat[-1]
-            x = float(traj.values[cut])
-            fc = [x]
-            hstep = sched.step_size
-            for _ in range(holdout):
-                x = x + hstep * _sis_rate(x, last.beta, last.gamma)
-                fc.append(x)
-            fc_arr = np.asarray(fc)
+            fc_arr, _ = _recurse(
+                UpdateSchedule((), holdout, sched.step_size),
+                prefix_est.intervals_hat[-1:],
+                traj.values[cut],
+                on_jump_escape=None,
+            )
             tail = traj.values[cut : sched.final_step + 1]
             fc_rmse = float(np.sqrt(np.mean(((fc_arr[1:] - tail[1:]) * n) ** 2)))
             holdout_result = HoldoutResult(

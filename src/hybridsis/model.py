@@ -154,13 +154,6 @@ class UpdateSchedule:
             stop = self.final_step
         return range(start, stop)
 
-    def active_interval(self, step: int) -> int:
-        """Interval whose parameters govern the SIS step `step` -> `step` + 1."""
-        if not 0 <= step < self.final_step:
-            raise ValueError(f"step {step} outside 0..{self.final_step - 1}")
-        # largest i with T_i <= step; update_steps is sorted
-        return int(np.searchsorted(np.asarray(self.update_steps), step, side="right"))
-
 
 def theta_pack(intervals: Sequence[IntervalParams]) -> np.ndarray:
     """Flatten per-interval parameters into the estimator's theta layout."""

@@ -1,39 +1,45 @@
 """Trajectory generators for the jump-augmented SIS demand model.
 
-Three generators share one convention for release steps: the output step that
-lands on a release index T_i carries the jump and nothing else,
+Every generator shares one convention for release steps: the output step
+that lands on a release index T_i carries the jump and nothing else,
 
     x[T_i] = (1 + alpha_i) * x[T_i - 1],
 
 so the sampled output of every generator obeys the same release rule as the
 identification model.  Between releases:
 
-  simulate_dt   applies the sampled update rule itself (forward Euler form),
+  simulate_dt   the sampled recursion x + h * (beta (1 - x) x - gamma x),
                 one step per sample.
-  simulate_ct   integrates the continuous SIS vector field with a classical
-                fourth-order one-step method (or plain Euler on request),
-                fine_substeps sub-steps per output sample.
-  simulate_sde  adds multiplicative demand noise sigma * x * dW to the drift
-                and integrates by the Euler-Maruyama rule.
+  simulate_ct   the continuous SIS flow.  With fixed rates it is logistic,
+                so the default method="exact" evaluates its closed form at
+                every sample; method="euler" takes fine_substeps recursion
+                steps of size h / fine_substeps per sample.
+  simulate_sde  the Euler recursion plus multiplicative demand noise
+                sigma * x * sqrt(dt) * z per sub-step, floored at zero.
 
-With method="euler" and fine_substeps=1, simulate_ct reproduces simulate_dt
-sample for sample, and simulate_sde with sigma=0 reproduces that same output
-bit for bit.  All stochastic draws come from numpy's PCG64 generator seeded
-explicitly; normals are drawn in one batch, consumed in simulation order, so
-equal seeds give equal paths on any platform with the same numpy series.
+The recursion is written once, in _recurse; simulate_dt, the Euler variant
+of simulate_ct, simulate_sde, estimate.forecast and the real-data refits are
+all calls to it.  With method="euler" and fine_substeps=1, simulate_ct
+reproduces simulate_dt sample for sample, and simulate_sde with sigma=0
+reproduces the Euler path at any sub-step count bit for bit.  All stochastic
+draws come from numpy's PCG64 generator seeded explicitly; normals are drawn
+in one batch, consumed in simulation order, so equal seeds give equal paths
+on any platform with the same numpy series.
 """
 
 from __future__ import annotations
 
+import array
 import csv
 import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .model import HybridModelSpec, Trajectory
+from .model import HybridModelSpec, IntervalParams, Trajectory, UpdateSchedule
 
 __all__ = [
     "SimulationConfig",
@@ -55,33 +61,17 @@ class StabilityWarning(UserWarning):
 class SimulationConfig:
     """Knobs shared by the continuous and stochastic generators."""
 
-    x0: float = 0.0
     seed: int = 0
     sigma: float = 0.0
     fine_substeps: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x0", float(self.x0))
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "fine_substeps", int(self.fine_substeps))
-        if not 0.0 <= self.x0 <= 1.0:
-            raise ValueError(f"x0 must lie in [0, 1], got {self.x0}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
         if self.fine_substeps < 1:
             raise ValueError(f"fine_substeps must be >= 1, got {self.fine_substeps}")
-
-
-def _sis_rate(x: float, beta: float, gamma: float) -> float:
-    return beta * (1.0 - x) * x - gamma * x
-
-
-def _rk4_step(x: float, beta: float, gamma: float, dt: float) -> float:
-    k1 = _sis_rate(x, beta, gamma)
-    k2 = _sis_rate(x + 0.5 * dt * k1, beta, gamma)
-    k3 = _sis_rate(x + 0.5 * dt * k2, beta, gamma)
-    k4 = _sis_rate(x + dt * k3, beta, gamma)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _check_x0(x0: float) -> float:
@@ -104,11 +94,15 @@ def _warn_stability(spec: HybridModelSpec) -> None:
 
 
 def _apply_jump(
-    x_pre: float, alpha: float, interval: int, on_escape: str
+    x_pre: float, alpha: float, interval: int, on_escape: str | None
 ) -> tuple[float, int]:
-    """Release rule with range policy.  Returns (new value, clamped flag)."""
+    """Release rule with range policy.  Returns (new value, clamped flag).
+
+    on_escape=None applies the rule unpoliced, for raw estimates whose
+    recursion is well defined outside [0, 1].
+    """
     x_new = (1.0 + alpha) * x_pre
-    if 0.0 <= x_new <= 1.0:
+    if on_escape is None or 0.0 <= x_new <= 1.0:
         return x_new, 0
     if on_escape == "error":
         raise ValueError(
@@ -127,6 +121,69 @@ def _apply_jump(
     raise ValueError(f"unknown jump escape policy {on_escape!r}")
 
 
+def _recurse(
+    schedule: UpdateSchedule,
+    intervals: Sequence[IntervalParams],
+    x0: float,
+    *,
+    substeps: int = 1,
+    sigma: float = 0.0,
+    noise: Sequence[float] | None = None,
+    on_jump_escape: str | None = "error",
+) -> tuple[np.ndarray, int]:
+    """The sampled recursion over a schedule; returns (values, clamps).
+
+    Each ordinary sample takes `substeps` steps x <- x + dt * (beta (1 - x) x
+    - gamma x), dt = h / substeps, at its interval's rates.  A release sample
+    applies the jump rule alone, through _apply_jump with on_jump_escape
+    (None: unpoliced).  With `noise`, each step also adds sigma * x *
+    sqrt(dt) * z (pre-step x, next draw z) and floors the result at zero,
+    counting each floor in clamps.
+    """
+    dt = schedule.step_size / substeps
+    sqrt_dt = math.sqrt(dt)
+    steps = range(substeps)
+    draws = None if noise is None else iter(noise)
+    x = float(x0)
+    out = array.array("d", [x])  # raw doubles: no float object per sample
+    record = out.append
+    clamps = 0
+    for i, p in enumerate(intervals):
+        if i > 0:
+            x, c = _apply_jump(x, p.alpha, i, on_jump_escape)
+            clamps += c
+            record(x)
+        b, g = p.beta, p.gamma
+        for _ in schedule.sis_index_range(i):
+            for _ in steps:
+                x_new = x + dt * (b * (1.0 - x) * x - g * x)
+                if draws is not None:
+                    x_new = x_new + sigma * x * sqrt_dt * next(draws)
+                    if x_new < 0.0:
+                        x_new = 0.0
+                        clamps += 1
+                x = x_new
+            record(x)
+    return np.frombuffer(out), clamps
+
+
+def _logistic_flow(x0: float, beta: float, gamma: float, t: np.ndarray) -> np.ndarray:
+    """Exact SIS flow from x0 after times t (fixed rates: a logistic curve).
+
+    For r = beta - gamma > 0 numerator and denominator are divided by e^{rt},
+    so long intervals neither overflow nor cancel.
+    """
+    r = beta - gamma
+    if x0 == 0.0:
+        return np.zeros_like(t)
+    if r == 0.0:
+        return x0 / (1.0 + beta * x0 * t)
+    if r < 0.0:
+        e = np.expm1(r * t)
+        return r * x0 * (1.0 + e) / (r + beta * x0 * e)
+    return r * x0 / (r * np.exp(-r * t) - beta * x0 * np.expm1(-r * t))
+
+
 def simulate_dt(
     spec: HybridModelSpec, x0: float, *, on_jump_escape: str = "error"
 ) -> Trajectory:
@@ -139,73 +196,59 @@ def simulate_dt(
     """
     x = _check_x0(x0)
     _warn_stability(spec)
-    sched = spec.schedule
-    h = sched.step_size
-    xs = np.empty(sched.n_samples, dtype=float)
-    xs[0] = x
-    clamps = 0
-    for i, p in enumerate(spec.intervals):
-        if i > 0:
-            t = sched.jump_step(i)
-            x, c = _apply_jump(x, p.alpha, i, on_jump_escape)
-            clamps += c
-            xs[t] = x
-        for k in sched.sis_index_range(i):
-            x = x + h * _sis_rate(x, p.beta, p.gamma)
-            xs[k + 1] = x
-    return Trajectory(values=xs, step_size=h, clamp_count=clamps)
+    xs, clamps = _recurse(spec.schedule, spec.intervals, x, on_jump_escape=on_jump_escape)
+    return Trajectory(values=xs, step_size=spec.schedule.step_size, clamp_count=clamps)
 
 
 def simulate_ct(
     spec: HybridModelSpec,
-    x0: float | None = None,
+    x0: float,
     config: SimulationConfig | None = None,
     *,
-    method: str = "rk4",
+    method: str = "exact",
     on_jump_escape: str = "error",
 ) -> Trajectory:
-    """Integrate the continuous SIS flow, sampled every step_size.
+    """The continuous SIS flow, sampled every step_size.
 
-    Each output step is covered by config.fine_substeps equal sub-steps of the
-    chosen one-step method ("rk4" default, "euler" for the order-one variant
-    that matches simulate_dt at one sub-step).  Release steps apply the jump
-    rule to the previous sample and skip integration, keeping the sampled
-    release convention identical across all generators.
+    method="exact" (default) evaluates the closed-form logistic solution
+
+        x(t) = r x0 e^{rt} / (r + beta x0 (e^{rt} - 1)),   r = beta - gamma,
+
+    (x0 / (1 + beta x0 t) when r = 0) at every sample, with t measured from
+    the interval's opening sample; it ignores config.fine_substeps.
+    method="euler" takes config.fine_substeps recursion steps per sample and
+    matches simulate_dt at one sub-step.  Release steps apply the jump rule
+    to the previous sample and skip the flow, keeping the sampled release
+    convention identical across all generators.
     """
     if config is None:
         config = SimulationConfig()
-    x = _check_x0(config.x0 if x0 is None else x0)
-    if method not in ("rk4", "euler"):
+    x = _check_x0(x0)
+    if method not in ("exact", "euler"):
         raise ValueError(f"unknown integration method {method!r}")
     sched = spec.schedule
-    sub = config.fine_substeps
-    dt = sched.step_size / sub
+    if method == "euler":
+        xs, clamps = _recurse(sched, spec.intervals, x, substeps=config.fine_substeps,
+                              on_jump_escape=on_jump_escape)
+        return Trajectory(values=xs, step_size=sched.step_size, clamp_count=clamps)
     xs = np.empty(sched.n_samples, dtype=float)
     xs[0] = x
     clamps = 0
     for i, p in enumerate(spec.intervals):
         if i > 0:
-            t = sched.jump_step(i)
             x, c = _apply_jump(x, p.alpha, i, on_jump_escape)
             clamps += c
-            xs[t] = x
-        b, g = p.beta, p.gamma
-        if method == "rk4":
-            for k in sched.sis_index_range(i):
-                for _ in range(sub):
-                    x = _rk4_step(x, b, g, dt)
-                xs[k + 1] = x
-        else:
-            for k in sched.sis_index_range(i):
-                for _ in range(sub):
-                    x = x + dt * _sis_rate(x, b, g)
-                xs[k + 1] = x
+            xs[sched.jump_step(i)] = x
+        ks = sched.sis_index_range(i)
+        t = sched.step_size * np.arange(1, len(ks) + 1)
+        xs[ks.start + 1 : ks.stop + 1] = _logistic_flow(x, p.beta, p.gamma, t)
+        x = float(xs[ks.stop])
     return Trajectory(values=xs, step_size=sched.step_size, clamp_count=clamps)
 
 
 def simulate_sde(
     spec: HybridModelSpec,
-    x0: float | None = None,
+    x0: float,
     config: SimulationConfig | None = None,
     *,
     on_jump_escape: str = "error",
@@ -223,37 +266,16 @@ def simulate_sde(
     """
     if config is None:
         config = SimulationConfig()
-    x = _check_x0(config.x0 if x0 is None else x0)
+    x = _check_x0(x0)
     sched = spec.schedule
     sub = config.fine_substeps
-    dt = sched.step_size / sub
-    sqrt_dt = math.sqrt(dt)
-    sigma = config.sigma
-
-    n_sis_steps = sum(len(sched.sis_index_range(i)) for i in range(sched.n_intervals))
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    # one batch, consumed in simulation order
-    noise = rng.standard_normal(n_sis_steps * sub).tolist()
-
-    xs = np.empty(sched.n_samples, dtype=float)
-    xs[0] = x
-    clamps = 0
-    pos = 0
-    for i, p in enumerate(spec.intervals):
-        if i > 0:
-            t = sched.jump_step(i)
-            x, c = _apply_jump(x, p.alpha, i, on_jump_escape)
-            clamps += c
-            xs[t] = x
-        b, g = p.beta, p.gamma
-        for k in sched.sis_index_range(i):
-            for _ in range(sub):
-                x = x + dt * _sis_rate(x, b, g) + sigma * x * sqrt_dt * noise[pos]
-                pos += 1
-                if x < 0.0:
-                    x = 0.0
-                    clamps += 1
-            xs[k + 1] = x
+    # one batch, consumed in simulation order; every step but a release flows
+    noise = memoryview(rng.standard_normal((sched.final_step - sched.n_updates) * sub))
+    xs, clamps = _recurse(
+        sched, spec.intervals, x,
+        substeps=sub, sigma=config.sigma, noise=noise, on_jump_escape=on_jump_escape,
+    )
     return Trajectory(values=xs, step_size=sched.step_size, clamp_count=clamps)
 
 
@@ -336,6 +358,8 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
                 x = float(row[2])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from exc
+            if not math.isfinite(x):
+                raise ValueError(f"{path}:{lineno}: share {row[2].strip()!r} is not finite")
             if step != len(values):
                 raise ValueError(f"{path}:{lineno}: step {step} out of order")
             values.append(x)

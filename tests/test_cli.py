@@ -170,6 +170,34 @@ def test_estimate_rejects_uneven_time_column(tmp_path, capsys):
     assert err.startswith(f"error: {traj_path}:5:") and "3.5" in err
 
 
+def test_estimate_rejects_non_finite_share(tmp_path, capsys):
+    traj_path = tmp_path / "traj.csv"
+    traj_path.write_text("step,time,x\n0,0,0.1\n1,1,nan\n2,2,0.3\n3,3,0.4\n4,4,0.5\n")
+    sched_path = write_schedule(tmp_path / "sched.json", [], 4)
+    code, out, err = run_cli(
+        capsys, "estimate", "--traj", str(traj_path), "--schedule", str(sched_path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {traj_path}:3:") and "not finite" in err
+
+
+def test_simulate_substeps_is_for_sde_only(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    for mode in ("dt", "ct"):
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", str(SCENARIO_PATH), "--mode", mode,
+            "--substeps", "7", "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("error:") and "--substeps" in err and "sde" in err
+        assert not out.exists()
+    code, _, _ = run_cli(
+        capsys, "simulate", "--scenario", str(SCENARIO_PATH), "--mode", "ct",
+        "--substeps", "1", "--out", str(out),
+    )
+    assert code == 0 and out.exists()
+
+
 def test_usage_and_missing_file_errors(tmp_path, capsys):
     assert run_cli(capsys, "simulate", "--scenario", "/does/not/exist.json",
                    "--mode", "dt", "--out", str(tmp_path / "x.csv"))[0] == 2

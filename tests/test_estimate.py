@@ -316,11 +316,21 @@ def test_forecast_reproduces_dt_run(demo_scenario):
     assert np.array_equal(fc.values, dt_traj.values)
 
 
-def test_forecast_mid_schedule_start(demo_scenario):
+@pytest.mark.parametrize(
+    "start_step, horizon",
+    [
+        (0, 150),
+        (29, 5),
+        (80, 10),  # the release at 90 lands on the last forecast sample
+        (90, 7),  # starts on the release sample
+        (50, 40),
+    ],
+)
+def test_forecast_mid_schedule_start(demo_scenario, start_step, horizon):
     spec = demo_scenario.spec
     dt_traj = simulate_dt(spec, demo_scenario.x0)
-    fc = forecast(spec, float(dt_traj.values[50]), 40, start_step=50)
-    assert np.array_equal(fc.values, dt_traj.values[50:91])
+    fc = forecast(spec, float(dt_traj.values[start_step]), horizon, start_step=start_step)
+    assert np.array_equal(fc.values, dt_traj.values[start_step : start_step + horizon + 1])
 
 
 def test_forecast_beyond_schedule():

@@ -77,19 +77,6 @@ def test_sis_index_ranges():
     assert no_updates.sis_index_range(0) == range(0, 10)
 
 
-def test_active_interval():
-    assert DEMO_SCHED.active_interval(0) == 0
-    assert DEMO_SCHED.active_interval(29) == 0
-    assert DEMO_SCHED.active_interval(30) == 1
-    assert DEMO_SCHED.active_interval(89) == 1
-    assert DEMO_SCHED.active_interval(90) == 2
-    assert DEMO_SCHED.active_interval(149) == 2
-    with pytest.raises(ValueError):
-        DEMO_SCHED.active_interval(150)
-    with pytest.raises(ValueError):
-        DEMO_SCHED.active_interval(-1)
-
-
 def test_theta_pack_demo_layout():
     intervals = (
         IntervalParams(beta=0.5, gamma=0.2),

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hybridsis import (
     HybridModelSpec,
@@ -126,18 +128,41 @@ def test_release_escape_policies():
         simulate_dt(spec, 0.8, on_jump_escape="wat")
 
 
-def test_ct_rk4_matches_logistic():
+def test_ct_exact_matches_logistic():
     spec = single_interval(0.9, 0.3, 20)
     traj = simulate_ct(spec, 0.1, SimulationConfig(fine_substeps=20))
     exact = np.array([logistic(0.1, 0.9, 0.3, t) for t in range(21)])
-    np.testing.assert_allclose(traj.values, exact, atol=1e-8, rtol=0)
+    np.testing.assert_allclose(traj.values, exact, atol=1e-12, rtol=0)
 
 
 def test_ct_equal_rates_closed_form():
     spec = single_interval(0.3, 0.3, 15)
     traj = simulate_ct(spec, 0.4, SimulationConfig(fine_substeps=20))
     exact = np.array([logistic(0.4, 0.3, 0.3, t) for t in range(16)])
-    np.testing.assert_allclose(traj.values, exact, atol=1e-8, rtol=0)
+    np.testing.assert_allclose(traj.values, exact, atol=1e-12, rtol=0)
+
+
+rates = st.floats(0.05, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    beta=rates,
+    gamma=rates,
+    equal=st.booleans(),
+    x0=st.floats(0.01, 1.0),
+    h=st.sampled_from([0.01, 0.1, 1.0]),
+    n=st.integers(1, 200),
+)
+def test_ct_exact_flow_property(beta, gamma, equal, x0, h, n):
+    if equal:
+        gamma = beta
+    # the oracle's K / x0 - 1 cancels when beta and gamma nearly agree, so
+    # unequal draws keep a margin; equal rates use its own closed form
+    assume(equal or abs(beta - gamma) >= 1e-3)
+    traj = simulate_ct(single_interval(beta, gamma, n, h), x0)
+    exact = np.array([logistic(x0, beta, gamma, k * h) for k in range(n + 1)])
+    np.testing.assert_allclose(traj.values, exact, atol=1e-12, rtol=0)
 
 
 def test_ct_demo_landmarks(demo_scenario):
@@ -153,14 +178,29 @@ def test_ct_demo_landmarks(demo_scenario):
     assert v[90] == (1.0 + -0.3) * v[89]
 
 
-def test_ct_rk4_is_high_order():
+def test_ct_exact_flow_on_long_intervals():
+    # r t reaches 1500 and 3000, where e^{rt} overflows a double
+    grow = simulate_ct(single_interval(0.5, 0.2, 5000), 0.05).values
+    assert np.all(np.isfinite(grow)) and grow[-1] == pytest.approx(0.6, rel=1e-12)
+    decay = simulate_ct(single_interval(0.2, 0.8, 5000), 0.9).values
+    assert np.all(np.isfinite(decay)) and decay[-1] == 0.0
+    wiped = HybridModelSpec(
+        UpdateSchedule((2,), 5000, 1.0),
+        (IntervalParams(beta=0.5, gamma=0.2), IntervalParams(alpha=-1.0, beta=0.5, gamma=0.2)),
+    )
+    assert np.all(simulate_ct(wiped, 0.3).values[2:] == 0.0)
+
+
+def test_ct_euler_converges_to_exact_flow():
     spec = single_interval(0.9, 0.3, 20)
-    exact = np.array([logistic(0.1, 0.9, 0.3, t) for t in range(21)])
-    errs = {}
-    for sub in (1, 2):
-        traj = simulate_ct(spec, 0.1, SimulationConfig(fine_substeps=sub))
-        errs[sub] = np.max(np.abs(traj.values - exact))
-    assert errs[1] / errs[2] > 8.0  # fourth order would give ~16
+    exact = simulate_ct(spec, 0.1).values
+    errs = [
+        np.max(np.abs(simulate_ct(spec, 0.1, SimulationConfig(fine_substeps=sub),
+                                  method="euler").values - exact))
+        for sub in (1, 2, 4)
+    ]
+    # order one: halving the sub-step halves the error
+    assert 1.8 < errs[0] / errs[1] < 2.2 and 1.8 < errs[1] / errs[2] < 2.2
 
 
 def test_ct_euler_one_substep_equals_dt(demo_scenario):
@@ -183,15 +223,15 @@ def test_simulation_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(fine_substeps=0)
     with pytest.raises(ValueError):
-        SimulationConfig(x0=1.2)
+        simulate_ct(single_interval(0.5, 0.2, 5), 1.2, SimulationConfig())
 
 
 def test_sde_zero_sigma_equals_euler_ct(demo_scenario):
     spec = demo_scenario.spec
     for sub in (1, 3):
-        cfg = SimulationConfig(x0=demo_scenario.x0, sigma=0.0, fine_substeps=sub, seed=5)
-        sde = simulate_sde(spec, config=cfg)
-        euler = simulate_ct(spec, config=cfg, method="euler")
+        cfg = SimulationConfig(sigma=0.0, fine_substeps=sub, seed=5)
+        sde = simulate_sde(spec, demo_scenario.x0, cfg)
+        euler = simulate_ct(spec, demo_scenario.x0, cfg, method="euler")
         assert np.array_equal(sde.values, euler.values)
 
 
