@@ -510,11 +510,12 @@ def run_realdata_study(dataset: AlignedDataset, holdout: int | None = None) -> F
     # leave the generative ranges, and the recursion is still defined there
     sim, _ = _recurse(sched, result.intervals_hat, traj.values[0], on_jump_escape=None)
     diff = (sim - traj.values) * n
-    rmse = float(np.sqrt(np.mean(diff**2)))
     owner = _interval_of_sample(sched, len(traj))
-    per_interval = tuple(
-        float(np.sqrt(np.mean(diff[owner == i] ** 2))) for i in range(sched.n_intervals)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged refit scores inf or nan
+        rmse = float(np.sqrt(np.mean(diff**2)))
+        per_interval = tuple(
+            float(np.sqrt(np.mean(diff[owner == i] ** 2))) for i in range(sched.n_intervals)
+        )
     fitted = None
     try:
         fitted = Scenario(

@@ -34,6 +34,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -74,7 +75,9 @@ class SimulationConfig:
             raise ValueError(f"fine_substeps must be >= 1, got {self.fine_substeps}")
 
 
-def _check_x0(x0: float) -> float:
+def _check_start(x0: float, on_jump_escape: str) -> float:
+    if on_jump_escape not in ("error", "clamp"):
+        raise ValueError(f"unknown jump escape policy {on_jump_escape!r}")
     x0 = float(x0)
     if not 0.0 <= x0 <= 1.0:
         raise ValueError(f"x0 must lie in [0, 1], got {x0}")
@@ -99,7 +102,7 @@ def _apply_jump(
     """Release rule with range policy.  Returns (new value, clamped flag).
 
     on_escape=None applies the rule unpoliced, for raw estimates whose
-    recursion is well defined outside [0, 1].
+    recursion is well defined outside [0, 1]; else it is "error" or "clamp".
     """
     x_new = (1.0 + alpha) * x_pre
     if on_escape is None or 0.0 <= x_new <= 1.0:
@@ -109,16 +112,14 @@ def _apply_jump(
             f"release opening interval {interval} maps share {x_pre:.6g} to "
             f"{x_new:.6g}, outside [0, 1]"
         )
-    if on_escape == "clamp":
-        clamped = min(1.0, max(0.0, x_new))
-        warnings.warn(
-            f"release opening interval {interval} left [0, 1] "
-            f"({x_new:.6g}); clamped to {clamped:.6g}",
-            UserWarning,
-            stacklevel=4,
-        )
-        return clamped, 1
-    raise ValueError(f"unknown jump escape policy {on_escape!r}")
+    clamped = min(1.0, max(0.0, x_new))
+    warnings.warn(
+        f"release opening interval {interval} left [0, 1] "
+        f"({x_new:.6g}); clamped to {clamped:.6g}",
+        UserWarning,
+        stacklevel=4,
+    )
+    return clamped, 1
 
 
 def _recurse(
@@ -194,7 +195,7 @@ def simulate_dt(
     alone.  A release pushing the share outside [0, 1] raises by default;
     on_jump_escape="clamp" clamps and warns instead.
     """
-    x = _check_x0(x0)
+    x = _check_start(x0, on_jump_escape)
     _warn_stability(spec)
     xs, clamps = _recurse(spec.schedule, spec.intervals, x, on_jump_escape=on_jump_escape)
     return Trajectory(values=xs, step_size=spec.schedule.step_size, clamp_count=clamps)
@@ -223,7 +224,7 @@ def simulate_ct(
     """
     if config is None:
         config = SimulationConfig()
-    x = _check_x0(x0)
+    x = _check_start(x0, on_jump_escape)
     if method not in ("exact", "euler"):
         raise ValueError(f"unknown integration method {method!r}")
     sched = spec.schedule
@@ -266,7 +267,7 @@ def simulate_sde(
     """
     if config is None:
         config = SimulationConfig()
-    x = _check_x0(x0)
+    x = _check_start(x0, on_jump_escape)
     sched = spec.schedule
     sub = config.fine_substeps
     rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -300,30 +301,32 @@ def add_observation_noise(traj: Trajectory, sigma: float, seed: int) -> Trajecto
     )
 
 
-def _fmt(x: float, digits: int) -> str:
-    return format(x, f".{digits}g")
+_WRITE_CHUNK = 8192  # rows per fh.write: bounds the transient strings
 
 
 def _write_trajectory_rows(traj: Trajectory, fh, digits: int) -> None:
     counts = traj.to_counts() if traj.population is not None else None
-    writer = csv.writer(fh, lineterminator="\n")
-    if counts is None:
-        writer.writerow(["step", "time", "x"])
-        for k, x in enumerate(traj.values):
-            writer.writerow([k, _fmt(k * traj.step_size, digits), _fmt(x, digits)])
-    else:
-        writer.writerow(["step", "time", "x", "count"])
-        for k, x in enumerate(traj.values):
-            writer.writerow(
-                [k, _fmt(k * traj.step_size, digits), _fmt(x, digits), int(counts[k])]
-            )
+    head, row = "step,time,x", f"{{}},{{:.{digits}g}},{{:.{digits}g}}"
+    if counts is not None:
+        head, row = head + ",count", row + ",{}"
+    fh.write(head + "\n")
+    fmt = (row + "\n").format
+    n = len(traj)
+    for a in range(0, n, _WRITE_CHUNK):
+        b = min(a + _WRITE_CHUNK, n)
+        # int64 * float64 is the same IEEE product as Python's k * h
+        cols = [range(a, b), (np.arange(a, b) * traj.step_size).tolist(), traj.values[a:b].tolist()]
+        if counts is not None:
+            cols.append(counts[a:b].tolist())
+        fh.write("".join(map(fmt, *cols)))
 
 
 def write_trajectory_csv(traj: Trajectory, path, *, digits: int = 17) -> None:
     """Write step,time,x rows, plus a count column when a population is set.
 
     path may be a filesystem path or an open text stream.  The default 17
-    significant digits round-trip a double exactly.
+    significant digits round-trip a double exactly.  Rows are formatted a
+    chunk at a time, with the bytes unchanged: "{k},{k*h:.17g},{x:.17g}".
     """
     if hasattr(path, "write"):
         _write_trajectory_rows(traj, path, digits)
@@ -332,21 +335,64 @@ def write_trajectory_csv(traj: Trajectory, path, *, digits: int = 17) -> None:
         _write_trajectory_rows(traj, fh, digits)
 
 
+def _csv_may_differ(path) -> bool:
+    """Whether the csv module may reject what numpy parsed: NUL (before Python 3.11),
+    ASCII 0x1C-0x1F around a number, a field over 128 KiB (in 64 KiB with no line end)."""
+    with open(path, "rb") as raw:
+        for c in iter(partial(raw.read, 1 << 16), b""):
+            if not (b"\n" in c or b"\r" in c) or any(map(c.__contains__, b"\0\x1c\x1d\x1e\x1f")):
+                return True
+    return False
+
+
+def _grid_step(path, times: Sequence[float], linenos: Sequence[int]) -> float:
+    """times[1] - times[0], once every time is within a relative 1e-9 of k*h."""
+    if len(times) < 2:
+        raise ValueError(f"{path}: a trajectory needs at least 2 samples")
+    h = times[1] - times[0]
+    if h <= 0.0:
+        raise ValueError(f"{path}: non-positive step size {h}")
+    t = np.asarray(times)
+    grid = np.arange(t.size) * h
+    # written as "not within" so that a NaN time is off the grid too
+    off = ~(np.abs(t - grid) <= 1e-9 * np.maximum(1.0, np.maximum(np.abs(t), np.abs(grid))))
+    if off.any():
+        k = int(np.argmax(off))
+        raise ValueError(
+            f"{path}:{linenos[k]}: time {times[k]!r} is off the even grid "
+            f"k*h = {grid[k]!r} (h = {h!r} from the first two rows)"
+        )
+    return h
+
+
 def read_trajectory_csv(path: str | Path) -> Trajectory:
     """Read a trajectory written by write_trajectory_csv.
 
     The step size h is recovered from the first two times, and every time
     must equal k * h to a relative 1e-9; any count column is ignored (the
-    population scale is not stored in the file).
+    population scale is not stored in the file).  The body is parsed in C,
+    and a rejected file is re-read line by line to name the bad line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:3]] != ["step", "time", "x"]:
             raise ValueError(f"{path}: expected header step,time,x[,count]")
-        values: list[float] = []
-        times: list[float] = []
-        linenos: list[int] = []
+        if fh.seekable():  # a pipe is read once, line by line
+            try:  # any error or warning here ("input contained no data" too) re-reads below
+                with warnings.catch_warnings(), np.errstate(all="ignore"):
+                    warnings.simplefilter("error")
+                    rows = np.loadtxt(fh, np.dtype("i8,f8,f8"), comments=None, delimiter=",",
+                                      quotechar='"', usecols=(0, 1, 2), ndmin=1)
+                    steps, t, x = (rows[name] for name in rows.dtype.names)
+                    valid = np.array_equal(steps, np.arange(t.size)) and np.isfinite(x).all()
+                    if valid and not _csv_may_differ(path):
+                        return Trajectory(values=x, step_size=_grid_step(path, t, linenos=steps))
+            except (ValueError, Warning):
+                pass
+            fh.seek(0)  # rejected: re-read line by line, to name the bad line
+            next(reader)
+        values, times, linenos = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -365,19 +411,4 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
             values.append(x)
             times.append(t)
             linenos.append(lineno)
-    if len(values) < 2:
-        raise ValueError(f"{path}: a trajectory needs at least 2 samples")
-    h = times[1] - times[0]
-    if h <= 0.0:
-        raise ValueError(f"{path}: non-positive step size {h}")
-    t = np.asarray(times)
-    grid = np.arange(t.size) * h
-    # written as "not within" so that a NaN time is off the grid too
-    off = ~(np.abs(t - grid) <= 1e-9 * np.maximum(1.0, np.maximum(np.abs(t), np.abs(grid))))
-    if off.any():
-        k = int(np.argmax(off))
-        raise ValueError(
-            f"{path}:{linenos[k]}: time {times[k]!r} is off the even grid "
-            f"k*h = {grid[k]!r} (h = {h!r} from the first two rows)"
-        )
-    return Trajectory(values=np.asarray(values), step_size=h)
+    return Trajectory(values=np.asarray(values), step_size=_grid_step(path, times, linenos))

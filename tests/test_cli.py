@@ -1,6 +1,7 @@
 import datetime as dt
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -312,11 +313,16 @@ def test_fit_prints_strict_json_when_the_refit_overflows(tmp_path, capsys):
     updates.write_text(
         f"{start + dt.timedelta(days=10)}\n{start + dt.timedelta(days=20)}\n"
     )
-    code, out, _ = run_cli(
-        capsys, "fit", "--data", str(data), "--updates", str(updates),
-        "--population", "1000000", "--smooth7",
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(data), "--updates", str(updates),
+            "--population", "1000000", "--smooth7",
+        )
     assert code == 0
+    # the divergence is reported as null on stdout, with no numpy warning
+    assert err == ""
+    assert [str(w.message) for w in caught] == []
     d = json.loads(out, parse_constant=_reject_constant)
     assert d["ok"] is True
     assert d["rmse_counts"] is None

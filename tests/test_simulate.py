@@ -1,12 +1,19 @@
+import csv
+import hashlib
 import io
 import math
+import os
+import tempfile
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hybridsis.simulate
 from hybridsis import (
     HybridModelSpec,
     IntervalParams,
@@ -126,6 +133,13 @@ def test_release_escape_policies():
     assert traj.clamp_count == 1
     with pytest.raises(ValueError, match="policy"):
         simulate_dt(spec, 0.8, on_jump_escape="wat")
+
+
+@pytest.mark.parametrize("generate", [simulate_dt, simulate_ct, simulate_sde])
+def test_unknown_escape_policy_is_rejected_on_entry(generate, demo_scenario):
+    # no release of the demo leaves [0, 1], so only a check on entry sees it
+    with pytest.raises(ValueError, match=r"^unknown jump escape policy 'wat'$"):
+        generate(demo_scenario.spec, demo_scenario.x0, on_jump_escape="wat")
 
 
 def test_ct_exact_matches_logistic():
@@ -337,3 +351,215 @@ def test_read_trajectory_csv_errors(tmp_path):
     malformed.write_text("step,time,x\n0,0,0.5\n1,1,not-a-number\n")
     with pytest.raises(ValueError, match="malformed"):
         read_trajectory_csv(malformed)
+
+
+def golden_trajectory(n, population=None):
+    values = np.random.default_rng(2026).random(20_001)
+    values[3:6] = [0.0, 1.0, 5e-324]
+    return Trajectory(values=values[:n], step_size=0.01, population=population)
+
+
+# pinned sha256 of the written bytes, recorded with a csv.writer row-by-row
+# writer; the prefix lengths straddle the 8192-row write chunk, and each case
+# also runs with a 3-row chunk
+WRITER_GOLDEN = [
+    (20_001, None, 17, "a7edf07caef39d8e1f1da18a6cb37f6c680054e7d92121be6fcaac07451e9114"),
+    (20_001, 1_000_003, 17, "05818cfb43b35a4af660645bd2f20afe4228ca05a0efd20db5f0e0d2d498db75"),
+    (20_001, None, 6, "0083fbe6ee1ad67c348230ac8e6010b18b9f2ef7db4b4be6d039c83d78835efb"),
+    (20_001, 1_000_003, 6, "17ab13cfe39d8edfce589697dd7ba7d5344dc7c1668f861473cf959b6b50c584"),
+    (2, 1_000_003, 17, "b8c14342af0b1c729bc829d34167d38639bca11ef9b567c33714e475f788247a"),
+    (8191, 1_000_003, 17, "a185775fa845bc26a32a1e3caac74578fdfeb3370a16b87187431785cf69781c"),
+    (8192, 1_000_003, 17, "4ebf74427d554c7e26584b0eeb3576ba92b86be272af868b677ce99f1414a79d"),
+    (8193, 1_000_003, 17, "f728738ec30503ef10d52a3bf64d290d2e4bfe8d95d73df015e0060d82876676"),
+]
+
+
+@pytest.mark.parametrize("chunk", [8192, 3])
+@pytest.mark.parametrize(
+    "n, population, digits, sha",
+    WRITER_GOLDEN,
+    ids=[f"n{n}-{'count' if p else 'bare'}-digits{d}" for n, p, d, _ in WRITER_GOLDEN],
+)
+def test_write_trajectory_csv_bytes_are_pinned(
+    tmp_path, monkeypatch, chunk, n, population, digits, sha
+):
+    assert hybridsis.simulate._WRITE_CHUNK == 8192
+    monkeypatch.setattr(hybridsis.simulate, "_WRITE_CHUNK", chunk)
+    traj = golden_trajectory(n, population)
+    path = tmp_path / "g.csv"
+    write_trajectory_csv(traj, path, digits=digits)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf, digits=digits)
+    assert buf.getvalue().encode() == path.read_bytes()
+
+
+shares = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(min_value=5e-324, max_value=2.2250738585072009e-308),  # subnormal
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(shares, min_size=2, max_size=300),
+    h=st.sampled_from([0.01, 0.37, 1.0, 1e-3]),
+)
+def test_trajectory_csv_roundtrip_property(values, h):
+    traj = Trajectory(values=values, step_size=h)
+    with tempfile.TemporaryDirectory() as d:
+        bare, counted = Path(d) / "bare.csv", Path(d) / "counted.csv"
+        write_trajectory_csv(traj, bare)
+        write_trajectory_csv(
+            Trajectory(values=values, step_size=h, population=1_000_003), counted
+        )
+        back, back_counted = read_trajectory_csv(bare), read_trajectory_csv(counted)
+    assert back.values.tobytes() == traj.values.tobytes()
+    assert back.step_size == h
+    assert back_counted.values.tobytes() == back.values.tobytes()
+    assert back_counted.step_size == back.step_size
+
+
+# Each file reads exactly as the row-by-row csv-module reader alone reads it
+# (expected values, or error type and message, recorded with that reader): the
+# C parser in front of it may change neither.  "{path}" stands for the file's
+# path and "{grid}" for the repr of the float64 k*h in the off-grid messages.
+HEADER = b"step,time,x\n"
+READER_CORPUS = {
+    "header_only": (HEADER, ValueError, "{path}: a trajectory needs at least 2 samples"),
+    "empty_file": (b"", ValueError, "{path}: expected header step,time,x[,count]"),
+    "wrong_header": (
+        b"foo,bar,baz\n0,0,0.5\n1,1,0.6\n",
+        ValueError,
+        "{path}: expected header step,time,x[,count]",
+    ),
+    "single_row": (
+        HEADER + b"0,0,0.5\n", ValueError, "{path}: a trajectory needs at least 2 samples"
+    ),
+    "two_columns": (
+        HEADER + b"0,0,0.5\n1,1\n", ValueError, "{path}:3: expected at least 3 columns"
+    ),
+    "step_float": (
+        HEADER + b"0,0,0.5\n1.0,1,0.6\n",
+        ValueError,
+        "{path}:3: malformed row: invalid literal for int() with base 10: '1.0'",
+    ),
+    "out_of_order": (
+        HEADER + b"0,0,0.5\n2,2,0.6\n", ValueError, "{path}:3: step 2 out of order"
+    ),
+    "malformed": (
+        HEADER + b"0,0,0.5\n1,1,not-a-number\n",
+        ValueError,
+        "{path}:3: malformed row: could not convert string to float: 'not-a-number'",
+    ),
+    "nan_share": (
+        HEADER + b"0,0,0.5\n1,1,nan\n2,2,0.6\n",
+        ValueError,
+        "{path}:3: share 'nan' is not finite",
+    ),
+    "inf_share": (
+        HEADER + b"0,0,0.5\n1,1,-inf\n", ValueError, "{path}:3: share '-inf' is not finite"
+    ),
+    "quoted_share": (HEADER + b'0,0,"0.5"\n1,1,0.6\n', [0.5, 0.6], 1.0),
+    "whitespace_line": (
+        HEADER + b"0,0,0.5\n   \n1,1,0.6\n",
+        ValueError,
+        "{path}:3: expected at least 3 columns",
+    ),
+    "blank_lines": (HEADER + b"\n0,0,0.5\n\n1,0.25,0.6\n", [0.5, 0.6], 0.25),
+    "blank_lines_off_grid": (
+        HEADER + b"0,0,0.5\n\n\n1,1,0.6\n\n2,2.5,0.7\n",
+        ValueError,
+        "{path}:7: time 2.5 is off the even grid k*h = {grid} (h = 1.0 from the first two rows)",
+    ),
+    "crlf": (b"step,time,x\r\n0,0,0.5\r\n1,0.5,0.6\r\n", [0.5, 0.6], 0.5),
+    "crlf_off_grid": (
+        b"step,time,x\r\n0,0,0.5\r\n1,1,0.6\r\n2,7,0.7\r\n",
+        ValueError,
+        "{path}:4: time 7.0 is off the even grid k*h = {grid} (h = 1.0 from the first two rows)",
+    ),
+    "off_grid": (
+        HEADER + b"0,0,0.5\n1,1,0.6\n2,2.1,0.7\n",
+        ValueError,
+        "{path}:4: time 2.1 is off the even grid k*h = {grid} (h = 1.0 from the first two rows)",
+    ),
+    "nonpositive_h": (
+        HEADER + b"0,1,0.5\n1,1,0.6\n", ValueError, "{path}: non-positive step size 0.0"
+    ),
+    "count_column": (b"step,time,x,count\n0,0,0.5,500\n1,1,0.6,600\n", [0.5, 0.6], 1.0),
+    # accepted by int()/float() but not by numpy's parser
+    "underscore_literal": (HEADER + b"0,0,0.5\n1,1_0,0.6\n", [0.5, 0.6], 10.0),
+    # accepted by numpy's parser but not by float() or the csv module
+    "separator_padding": (
+        HEADER + b"0,0,0.5\x1c\n1,1,0.6\n",
+        ValueError,
+        "{path}:2: malformed row: could not convert string to float: '0.5\\x1c'",
+    ),
+    "quoted_newline_extra_column": (
+        HEADER + b'0,0,0.5,"a\n1,1,0.6,b"\n',
+        ValueError,
+        "{path}: a trajectory needs at least 2 samples",
+    ),
+    "field_over_csv_limit": (
+        HEADER + b"0,0,0.5," + b"a" * 140_000 + b"\n1,1,0.6\n",
+        csv.Error,
+        "field larger than field limit (131072)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(READER_CORPUS))
+def test_read_trajectory_csv_diagnostics_corpus(tmp_path, name):
+    data, expected, detail = READER_CORPUS[name]
+    path = tmp_path / "c.csv"
+    path.write_bytes(data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if isinstance(expected, list):
+            traj = read_trajectory_csv(path)
+        else:
+            with pytest.raises(expected) as err:
+                read_trajectory_csv(path)
+    assert [str(w.message) for w in caught] == []
+    if isinstance(expected, list):
+        assert traj.values.tobytes() == np.array(expected).tobytes()
+        assert traj.step_size == detail
+    else:
+        message = detail.replace("{path}", str(path)).replace("{grid}", repr(np.float64(2.0)))
+        assert str(err.value) == message
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (b"step,time,x\n0,0,0.5\n1,1,0.6\n", [0.5, 0.6]),
+        (b"step,time,x\n0,0,0.5\n1,1,nan\n", "{path}:3: share 'nan' is not finite"),
+    ],
+    ids=["valid", "nan_share"],
+)
+def test_read_trajectory_csv_from_a_pipe(tmp_path, data, expected):
+    # a pipe can be read only once, and opening a drained one again blocks:
+    # the reader must make one line-by-line pass and still name the bad line
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    outcome = []
+
+    def read():
+        try:
+            outcome.append(read_trajectory_csv(fifo).values.tolist())
+        except ValueError as exc:
+            outcome.append(str(exc))
+
+    threads = [
+        threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True),
+        threading.Thread(target=read, daemon=True),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    if isinstance(expected, str):
+        expected = expected.replace("{path}", str(fifo))
+    assert outcome == [expected]
