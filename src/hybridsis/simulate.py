@@ -29,12 +29,12 @@ on any platform with the same numpy series.
 
 from __future__ import annotations
 
-import array
 import csv
 import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -97,12 +97,13 @@ def _warn_stability(spec: HybridModelSpec) -> None:
 
 
 def _apply_jump(
-    x_pre: float, alpha: float, interval: int, on_escape: str | None
+    x_pre: float, alpha: float, interval: int, on_escape: str | None, stacklevel: int
 ) -> tuple[float, int]:
     """Release rule with range policy.  Returns (new value, clamped flag).
 
     on_escape=None applies the rule unpoliced, for raw estimates whose
     recursion is well defined outside [0, 1]; else it is "error" or "clamp".
+    A clamp warns at `stacklevel`, which must name the caller of simulate_*.
     """
     x_new = (1.0 + alpha) * x_pre
     if on_escape is None or 0.0 <= x_new <= 1.0:
@@ -117,7 +118,7 @@ def _apply_jump(
         f"release opening interval {interval} left [0, 1] "
         f"({x_new:.6g}); clamped to {clamped:.6g}",
         UserWarning,
-        stacklevel=4,
+        stacklevel=stacklevel,
     )
     return clamped, 1
 
@@ -134,38 +135,50 @@ def _recurse(
 ) -> tuple[np.ndarray, int]:
     """The sampled recursion over a schedule; returns (values, clamps).
 
-    Each ordinary sample takes `substeps` steps x <- x + dt * (beta (1 - x) x
-    - gamma x), dt = h / substeps, at its interval's rates.  A release sample
-    applies the jump rule alone, through _apply_jump with on_jump_escape
-    (None: unpoliced).  With `noise`, each step also adds sigma * x *
-    sqrt(dt) * z (pre-step x, next draw z) and floors the result at zero,
-    counting each floor in clamps.
+    A release sample applies the jump rule alone, through _apply_jump with
+    on_jump_escape (None: unpoliced).  Each interval's ordinary samples are
+    one flat run of len(sis_index_range(i)) * substeps steps x <- x + dt *
+    (beta (1 - x) x - gamma x), dt = h / substeps, at the interval's rates.
+    With `noise`, the run consumes the interval's slice of draws in order:
+    each step also adds sigma * x * sqrt(dt) * z (pre-step x, its draw z)
+    and floors the result at zero, counting each floor in clamps.
+
+    The run yields every state, and x0 and each release state are yielded
+    `substeps` times, so every sample is `substeps` consecutive states; the
+    islice keeps the last of each, and np.fromiter writes it straight into
+    the output array.
     """
-    dt = schedule.step_size / substeps
-    sqrt_dt = math.sqrt(dt)
-    steps = range(substeps)
-    draws = None if noise is None else iter(noise)
-    x = float(x0)
-    out = array.array("d", [x])  # raw doubles: no float object per sample
-    record = out.append
     clamps = 0
-    for i, p in enumerate(intervals):
-        if i > 0:
-            x, c = _apply_jump(x, p.alpha, i, on_jump_escape)
-            clamps += c
-            record(x)
-        b, g = p.beta, p.gamma
-        for _ in schedule.sis_index_range(i):
-            for _ in steps:
-                x_new = x + dt * (b * (1.0 - x) * x - g * x)
-                if draws is not None:
-                    x_new = x_new + sigma * x * sqrt_dt * next(draws)
-                    if x_new < 0.0:
-                        x_new = 0.0
+
+    def states():
+        nonlocal clamps
+        dt = schedule.step_size / substeps
+        sqrt_dt = math.sqrt(dt)
+        draws = None if noise is None else iter(noise)
+        x = float(x0)
+        yield from repeat(x, substeps)
+        for i, p in enumerate(intervals):
+            if i > 0:
+                # frames: _apply_jump, states, _recurse, simulate_*, its caller
+                x, c = _apply_jump(x, p.alpha, i, on_jump_escape, stacklevel=5)
+                clamps += c
+                yield from repeat(x, substeps)
+            b, g = p.beta, p.gamma
+            n = len(schedule.sis_index_range(i)) * substeps
+            for z in repeat(None, n) if draws is None else islice(draws, n):
+                x_flow = x + dt * (b * (1.0 - x) * x - g * x)
+                if z is None:
+                    x = x_flow
+                else:
+                    x = x_flow + sigma * x * sqrt_dt * z
+                    if x < 0.0:
+                        x = 0.0
                         clamps += 1
-                x = x_new
-            record(x)
-    return np.frombuffer(out), clamps
+                yield x
+
+    kept = islice(states(), substeps - 1, None, substeps)
+    values = np.fromiter(kept, float, schedule.n_samples)
+    return values, clamps
 
 
 def _logistic_flow(x0: float, beta: float, gamma: float, t: np.ndarray) -> np.ndarray:
@@ -237,7 +250,7 @@ def simulate_ct(
     clamps = 0
     for i, p in enumerate(spec.intervals):
         if i > 0:
-            x, c = _apply_jump(x, p.alpha, i, on_jump_escape)
+            x, c = _apply_jump(x, p.alpha, i, on_jump_escape, stacklevel=3)
             clamps += c
             xs[sched.jump_step(i)] = x
         ks = sched.sis_index_range(i)
@@ -360,7 +373,7 @@ def _grid_step(path, times: Sequence[float], linenos: Sequence[int]) -> float:
         k = int(np.argmax(off))
         raise ValueError(
             f"{path}:{linenos[k]}: time {times[k]!r} is off the even grid "
-            f"k*h = {grid[k]!r} (h = {h!r} from the first two rows)"
+            f"k*h = {float(grid[k])!r} (h = {h!r} from the first two rows)"
         )
     return h
 

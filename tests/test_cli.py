@@ -15,7 +15,7 @@ from hybridsis import (
     simulate_dt,
     write_trajectory_csv,
 )
-from hybridsis.cli import main
+from hybridsis.cli import build_parser, main
 
 from conftest import SCENARIO_PATH
 
@@ -287,6 +287,21 @@ def test_fit_window_and_smoothing(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["smoothed"] is True
+
+
+def test_main_reuses_its_parser_without_carrying_state(tmp_path, capsys):
+    data, updates, _ = fit_fixture(tmp_path)
+    fit = ["fit", "--data", str(data), "--updates", str(updates), "--population", "1000000"]
+    code, out, _ = run_cli(capsys, *fit, "--smooth7")
+    assert code == 0 and json.loads(out)["smoothed"] is True
+    code, out, _ = run_cli(capsys, *fit)
+    assert code == 0 and json.loads(out)["smoothed"] is False
+
+    code, _, err = run_cli(capsys, "fit", "--data", str(data))
+    assert code == 2 and "required" in err
+    code, out, _ = run_cli(capsys, *fit)
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert build_parser() is not build_parser()
 
 
 def _reject_constant(name):

@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import hashlib
 import io
+import json
 import math
 import os
 import tempfile
 import threading
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,10 @@ from hybridsis import (
     simulate_sde,
     write_trajectory_csv,
 )
+from hybridsis.cli import main
+from hybridsis.estimate import forecast
+
+from conftest import SCENARIO_PATH
 
 # Closed-form values for the bundled demo under the shared release-step
 # convention: 29 flowed units, release, 59 flowed units, release.  Computed
@@ -133,6 +140,26 @@ def test_release_escape_policies():
     assert traj.clamp_count == 1
     with pytest.raises(ValueError, match="policy"):
         simulate_dt(spec, 0.8, on_jump_escape="wat")
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        simulate_dt,
+        simulate_ct,
+        partial(simulate_ct, config=SimulationConfig(fine_substeps=2), method="euler"),
+        partial(simulate_sde, config=SimulationConfig(sigma=0.01, fine_substeps=2)),
+    ],
+    ids=["dt", "ct_exact", "ct_euler", "sde"],
+)
+def test_release_clamp_warning_names_the_caller(generate):
+    spec = HybridModelSpec(
+        UpdateSchedule((1,), 3, 1.0),
+        (IntervalParams(beta=0.0, gamma=0.0), IntervalParams(alpha=0.9, beta=0.0, gamma=0.0)),
+    )
+    with pytest.warns(UserWarning, match="clamped") as caught:
+        generate(spec, 0.8, on_jump_escape="clamp")
+    assert [w.filename for w in caught] == [__file__]
 
 
 @pytest.mark.parametrize("generate", [simulate_dt, simulate_ct, simulate_sde])
@@ -280,6 +307,94 @@ def test_sde_zero_is_absorbing_and_counted():
     assert np.all(v[first_zero:] == 0.0)
 
 
+def _study_digests(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"scenario": json.loads(SCENARIO_PATH.read_text()),
+                                "trials": 4, "seed": 99}))
+    out = tmp_path / "study"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["study", "--plan", str(plan), "--out-dir", str(out)]) == 0
+    return [hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("params.csv", "r0.csv", "summary.json")]
+
+
+def _recursion_case(name, scenario, tmp_path):
+    """(sha256 of values.tobytes(), clamp count) of one pinned kernel call; for
+    the study, the sha256 of its three result tables."""
+    spec, x0 = scenario.spec, scenario.x0
+    if name == "study_4_trials":
+        return _study_digests(tmp_path)
+    kind, *arg = name.split("-")
+    if kind == "dt":
+        traj = simulate_dt(spec, x0)
+    elif kind == "ct_euler":
+        cfg = SimulationConfig(fine_substeps=int(arg[0]))
+        traj = simulate_ct(spec, x0, cfg, method="euler")
+    elif kind == "sde":
+        cfg = SimulationConfig(seed=1, sigma=float(arg[0]), fine_substeps=int(arg[1]))
+        traj = simulate_sde(spec, x0, cfg)
+    elif kind == "sde_back_to_back":
+        # releases on steps 1, 2 and 3 leave two intervals with no flow step
+        intervals = [IntervalParams(beta=0.6, gamma=0.2)] + [
+            IntervalParams(alpha=a, beta=0.5, gamma=0.1) for a in (0.5, -0.2, 0.1)
+        ]
+        spec = HybridModelSpec(UpdateSchedule((1, 2, 3), 12, 0.5), tuple(intervals))
+        traj = simulate_sde(spec, 0.2, SimulationConfig(seed=4, sigma=0.3, fine_substeps=3))
+    elif kind == "raw_refit":
+        # negative raw estimates: the unpoliced recursion overflows to inf
+        sched = UpdateSchedule((10, 20), 30, 1.0)
+        intervals = (
+            IntervalParams(beta=0.5, gamma=0.1),
+            IntervalParams(alpha=2.0, beta=-3.0, gamma=-1.0),
+            IntervalParams(alpha=-0.5, beta=-4.0, gamma=-2.0),
+        )
+        values, clamps = hybridsis.simulate._recurse(sched, intervals, 0.05, on_jump_escape=None)
+        assert values[-1] == math.inf
+        return hashlib.sha256(values.tobytes()).hexdigest(), clamps
+    else:  # forecast-<start step>-<horizon>
+        traj = forecast(spec, 0.3, int(arg[1]), start_step=int(arg[0]))
+    return hashlib.sha256(traj.values.tobytes()).hexdigest(), traj.clamp_count
+
+
+# sha256 of the output values and the clamp count of each kernel caller,
+# recorded with the nested samples x sub-steps loop that the flat per-interval
+# run replaced, which must reproduce them bit for bit; the study entry pins
+# its params.csv, r0.csv and summary.json instead
+RECURSION_GOLDEN = {
+    "dt": ("c02be2301863c31caa4ca0810cdccabddbcf02869d9407449b1875028eff8cd0", 0),
+    "ct_euler-1": ("c02be2301863c31caa4ca0810cdccabddbcf02869d9407449b1875028eff8cd0", 0),
+    "ct_euler-3": ("8e7ee190e5aa7b44c77a0ecb4914cf5b6f2a2e59aceb8d868b5f29dadd9207dd", 0),
+    "sde-0.0-1": ("c02be2301863c31caa4ca0810cdccabddbcf02869d9407449b1875028eff8cd0", 0),
+    "sde-0.0-3": ("8e7ee190e5aa7b44c77a0ecb4914cf5b6f2a2e59aceb8d868b5f29dadd9207dd", 0),
+    "sde-0.0-5": ("bc296e131dbc5fc4887e00e06986df14f64404238432275bac33ef13af5ed69f", 0),
+    "sde-0.05-1": ("08eeb93a70eef25a4674869bf8c4593bc6d7b0c34f61d223ad8f5efeff258717", 0),
+    "sde-0.05-3": ("834100d7a2bb88d5e02e360f85cae63a17e6f8d8ed507808da38391e1a2807d0", 0),
+    "sde-0.05-5": ("da44182f0f2eced2aeedda222381ba47039f62486fcb7b93da3f5e03ae834a00", 0),
+    "sde-0.7-1": ("06fb5ba32fb5cf48045f42d82633481c8c0604aa35eafe335133089dcab3277a", 1),
+    "sde-0.7-3": ("48b0134c2a62ece2f1f43a9950b65ec5095fb683a9770c1e2c11ffa3d07b37b2", 1),
+    "sde-0.7-5": ("511afbb3b7b5d80a1ce413bba32c332210729b1db32fb96e220bd2c6efe0e1b5", 1),
+    "sde_back_to_back": ("33d21d27045d5547ddfc02b83b40b9b26c4848c193b0440e8f6930951e9c5510", 0),
+    "raw_refit": ("e6db0d2e02670f99c83dfb1959f7a0e9d35b770aefb1bd3709cafcd96f592742", 0),
+    # release at step 30 inside the window
+    "forecast-25-10": ("c1bc2e5490b44d8d2b255be38b9648ca075964ca86e064abefa684642416b331", 0),
+    # release at step 90 on the last sample
+    "forecast-80-10": ("82a19ddeb7967f54158eabc77d046eff02a64b2fa479bb0042ff914e651473bd", 0),
+    # past the schedule's end
+    "forecast-140-30": ("60d35c2bc253a4ad6f6e929bc0da4beae4885722700b79b366eed6a4ef9390fa", 0),
+    "study_4_trials": [
+        "b2a1eb1c293f75c3c1aab5f1725e07c03b6ad46a86cd078a10fcfba7be9cb6a4",
+        "cd8439d3c9f3dd2902c385a00dd079f1cc874c59ca65caa37a95df05dd0d8eb8",
+        "2f47cb8cb34292bce8f6007d5f7afec501e60f2a9b09570b0549f8364dac5e27",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(RECURSION_GOLDEN))
+def test_recursion_outputs_are_pinned(name, demo_scenario, tmp_path):
+    got = _recursion_case(name, demo_scenario, tmp_path)
+    assert list(got) == list(RECURSION_GOLDEN[name])
+
+
 def test_observation_noise_determinism_and_clipping():
     clean = Trajectory(values=np.full(2001, 0.5), step_size=1.0, population=1000)
     a = add_observation_noise(clean, 0.02, seed=11)
@@ -424,7 +539,7 @@ def test_trajectory_csv_roundtrip_property(values, h):
 # Each file reads exactly as the row-by-row csv-module reader alone reads it
 # (expected values, or error type and message, recorded with that reader): the
 # C parser in front of it may change neither.  "{path}" stands for the file's
-# path and "{grid}" for the repr of the float64 k*h in the off-grid messages.
+# path and "{grid}" for the repr of the float k*h in the off-grid messages.
 HEADER = b"step,time,x\n"
 READER_CORPUS = {
     "header_only": (HEADER, ValueError, "{path}: a trajectory needs at least 2 samples"),
@@ -526,7 +641,7 @@ def test_read_trajectory_csv_diagnostics_corpus(tmp_path, name):
         assert traj.values.tobytes() == np.array(expected).tobytes()
         assert traj.step_size == detail
     else:
-        message = detail.replace("{path}", str(path)).replace("{grid}", repr(np.float64(2.0)))
+        message = detail.replace("{path}", str(path)).replace("{grid}", repr(2.0))
         assert str(err.value) == message
 
 
