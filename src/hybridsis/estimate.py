@@ -32,9 +32,11 @@ numeric ranks so the two views can be compared.  Psi's rank is the sum of
 the block ranks, because the blocks share no rows or columns.
 
 Solving is per block (the blocks share no columns, so this is exactly the
-full least-squares solution), one SVD-based LAPACK solve (gelsd) each, which
-returns the minimum-norm solution on rank-deficient blocks and the block's
-rank under the same RANK_RTOL rule that check_identifiability applies.
+full least-squares solution).  Each block is factored once: a batched QR of
+[block | rhs] over zero-padded stacks of blocks (zero rows change neither
+factor), then an SVD of the block's 3 x 3 triangular factor, which has the
+block's singular values.  That gives its RANK_RTOL rank, condition number,
+minimum-norm solution and residual to check_identifiability and estimate.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from __future__ import annotations
 import bisect
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +53,7 @@ from .model import (
     IntervalParams,
     Trajectory,
     UpdateSchedule,
+    _r0_or_nan,
     parameter_names,
     theta_slice,
     theta_unpack,
@@ -61,6 +65,7 @@ __all__ = [
     "RANK_RTOL",
     "BlockSlice",
     "RegressionSystem",
+    "BlockSolution",
     "build_regression",
     "IntervalConditions",
     "IdentifiabilityReport",
@@ -79,6 +84,9 @@ __all__ = [
 VARIATION_TOL = 1e-12
 # singular values below RANK_RTOL * sigma_max count as zero in numeric ranks
 RANK_RTOL = 1e-10
+# padded rows per batched QR call (a longer block gets a call of its own):
+# bounds the stacks' memory by this or the longest block, not by n
+_STACK_ROWS = 8192
 
 
 def _json_float(v: float | None) -> float | None:
@@ -121,6 +129,60 @@ class RegressionSystem:
     def block_rhs(self, i: int) -> np.ndarray:
         b = self.blocks[i]
         return self.y[b.row_start : b.row_stop]
+
+    @cached_property
+    def solution(self) -> "BlockSolution":
+        """Every block factored once, shared by check_identifiability and estimate.
+
+        Blocks are taken shortest first, as many per batched QR call as fit
+        _STACK_ROWS when zero-padded to the longest of them (a longer block
+        goes alone), so few calls serve many short blocks and no call holds
+        more than the budget or one block.  Zero-row blocks are not
+        factored: rank 0, zero solution."""
+        n = len(self.blocks)
+        lengths = [b.row_stop - b.row_start for b in self.blocks]
+        widths = np.array([b.width for b in self.blocks])
+        # singular values, zero-padded: a zero-row block has none
+        sv, solutions, residuals_sq = np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n)
+        # interval 0's release column is zero: its factor gains a zero column
+        # and a zero singular value, which the RANK_RTOL rule does not count
+        order = [i for i in sorted(range(n), key=lengths.__getitem__) if lengths[i]]
+        while order:
+            # the shortest blocks left, as many as fit the budget padded to the longest
+            k = 1
+            while k < len(order) and (k + 1) * lengths[order[k]] <= _STACK_ROWS:
+                k += 1
+            idx, order = order[:k], order[k:]
+            ay = np.zeros((k, max(4, lengths[idx[-1]]), 4))  # at least 4 rows: R is 4 x 4
+            for j, i in enumerate(idx):
+                b = self.blocks[i]
+                ay[j, : lengths[i], :3] = self.psi[b.row_start : b.row_stop]
+                ay[j, : lengths[i], 3] = self.y[b.row_start : b.row_stop]
+            # with A = QR: R[:3, :3] is R, R[:3, 3] is Q^T y, and |R[3, 3]| is
+            # the norm of the part of y outside the span of A
+            r = np.linalg.qr(ay, mode="r")
+            u, s, vt = np.linalg.svd(r[:, :3, :3])
+            z = (r[:, None, :3, 3] @ u)[:, 0]
+            keep = s > RANK_RTOL * s[:, :1]
+            sol = (np.divide(z, s, out=np.zeros_like(s), where=keep)[:, None] @ vt)[:, 0]
+            sv[idx], solutions[idx] = s, sol
+            residuals_sq[idx] = r[:, 3, 3] ** 2 + (np.where(keep, 0.0, z) ** 2).sum(axis=1)
+        ranks = np.count_nonzero(sv > RANK_RTOL * sv[:, :1], axis=1)
+        s_min = sv[np.arange(n), widths - 1]
+        conditions = np.divide(sv[:, 0], s_min, out=np.full(n, np.nan), where=ranks == widths)
+        return BlockSolution(solutions, ranks, conditions, residuals_sq)
+
+
+@dataclass(frozen=True)
+class BlockSolution:
+    """Per block: minimum-norm solution (zero-padded to 3 columns on the
+    left), numeric rank, condition number s_max / s_min (NaN when rank
+    deficient) and squared residual norm."""
+
+    solutions: np.ndarray
+    ranks: np.ndarray
+    conditions: np.ndarray
+    residuals_sq: np.ndarray
 
 
 def _check_step_sizes(traj: Trajectory, schedule: UpdateSchedule) -> None:
@@ -173,15 +235,8 @@ def build_regression(traj: Trajectory, schedule: UpdateSchedule) -> RegressionSy
     return RegressionSystem(y=y, psi=psi, blocks=tuple(blocks))
 
 
-def _svd_rank(a: np.ndarray) -> int:
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
-
-
-def _has_variation(values: np.ndarray) -> bool:
-    """Two usable (nonzero) shares that actually differ, at tolerance.
+def _has_variation(x: np.ndarray, ranges: list[range]) -> np.ndarray:
+    """Per range of x: two usable (nonzero) shares that actually differ, at tolerance.
 
     The exact condition is x1 x2 (x1 - x2) != 0 for some pair; numerically a
     share counts as nonzero above VARIATION_TOL and a pair as distinct when
@@ -189,12 +244,17 @@ def _has_variation(values: np.ndarray) -> bool:
     extreme pair (min, max) of the usable subset decides, because every other
     pair differs less while facing the same floor.
     """
-    usable = values[np.abs(values) > VARIATION_TOL]
-    if usable.size < 2:
-        return False
-    lo = float(usable.min())
-    hi = float(usable.max())
-    return (hi - lo) > VARIATION_TOL * max(1.0, abs(lo), abs(hi))
+    bounds = np.array([(ks.start, ks.stop) for ks in ranges]).ravel()[:-1]
+    x = x[: ranges[-1].stop]  # the last range runs to the end of the array
+    usable = np.abs(x) > VARIATION_TOL
+    # reduceat over start_0, stop_0, start_1, ...: the even entries reduce the
+    # ranges (the odd ones the release rows between them); an empty range
+    # yields its start element alone, which is fewer than 2 usable shares
+    n_usable = np.add.reduceat(usable, bounds, dtype=np.intp)[::2]
+    xu = np.where(usable, x, np.nan)  # fmin and fmax skip NaN
+    lo, hi = np.fmin.reduceat(xu, bounds)[::2], np.fmax.reduceat(xu, bounds)[::2]
+    floor = VARIATION_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    return (n_usable >= 2) & (hi - lo > floor)
 
 
 @dataclass(frozen=True)
@@ -205,6 +265,8 @@ class IntervalConditions:
     jump_state_ok: bool
     rank: int
     required_rank: int
+    # s_max / s_min of the block; NaN (JSON null) when it is rank deficient
+    condition: float
 
     @property
     def ok(self) -> bool:
@@ -219,6 +281,7 @@ class IntervalConditions:
             "ok": self.ok,
             "rank": self.rank,
             "required_rank": self.required_rank,
+            "condition": _json_float(self.condition),
         }
 
 
@@ -254,32 +317,30 @@ def check_identifiability(
     All three hold for every interval exactly when the full system has a
     unique least-squares solution; the report also carries the numeric rank
     of each block and of Psi (their sum) so the algebraic verdict can be
-    cross-checked.
+    cross-checked, and each block's condition number, which the verdict
+    does not use.
     """
     _check_step_sizes(traj, schedule)
     x = traj.values
-    conditions = []
-    for i in range(schedule.n_updates + 1):
-        ks = schedule.sis_index_range(i)
-        states = x[ks.start : ks.stop]
-        length_ok = len(ks) >= 2
-        variation_ok = _has_variation(states)
-        if i == 0:
-            jump_ok = True
-        else:
-            jump_ok = abs(float(x[schedule.jump_step(i) - 1])) > VARIATION_TOL
-        conditions.append(
-            IntervalConditions(
-                interval=i,
-                length_ok=length_ok,
-                variation_ok=variation_ok,
-                jump_state_ok=jump_ok,
-                rank=_svd_rank(system.block_matrix(i)),
-                required_rank=system.blocks[i].width,
-            )
+    ranges = [schedule.sis_index_range(i) for i in range(schedule.n_intervals)]
+    variation_ok = _has_variation(x, ranges)
+    pre_release = np.array(schedule.update_steps, dtype=int) - 1
+    jump_ok = np.concatenate(([True], np.abs(x[pre_release]) > VARIATION_TOL))
+    sol = system.solution
+    conditions = tuple(
+        IntervalConditions(
+            interval=i,
+            length_ok=len(ks) >= 2,
+            variation_ok=bool(variation_ok[i]),
+            jump_state_ok=bool(jump_ok[i]),
+            rank=int(sol.ranks[i]),
+            required_rank=b.width,
+            condition=float(sol.conditions[i]),
         )
+        for i, (ks, b) in enumerate(zip(ranges, system.blocks))
+    )
     return IdentifiabilityReport(
-        intervals=tuple(conditions),
+        intervals=conditions,
         overall=all(c.ok for c in conditions),
         psi_rank=sum(c.rank for c in conditions),
         required_rank=sum(c.required_rank for c in conditions),
@@ -314,23 +375,18 @@ class EstimationResult:
 
 
 def estimate(system: RegressionSystem) -> EstimationResult:
-    """Solve each diagonal block with one SVD-based least-squares solve.
+    """Least-squares theta, block by block, from the system's shared factorization.
 
     Blocks decouple, so per-block solves give the full least-squares answer
     at better conditioning than one stacked solve.  A block whose numeric
     rank falls short gets the minimum-norm solution and the result is flagged
     non-unique (with a RankDeficiencyWarning).
     """
+    sol = system.solution
     theta = np.zeros(system.blocks[-1].col_stop, dtype=float)
-    ranks: list[int] = []
     unique = True
-    residual_sq = 0.0
     for i, b in enumerate(system.blocks):
-        a = system.block_matrix(i)
-        rhs = system.block_rhs(i)
-        # gelsd counts singular values above RANK_RTOL * s_max, the _svd_rank rule
-        sol, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=RANK_RTOL)
-        rank = int(rank)
+        rank = int(sol.ranks[i])
         if rank < b.width:
             unique = False
             warnings.warn(
@@ -339,20 +395,14 @@ def estimate(system: RegressionSystem) -> EstimationResult:
                 RankDeficiencyWarning,
                 stacklevel=2,
             )
-        theta[b.col_start : b.col_stop] = sol
-        ranks.append(rank)
-        r = rhs - a @ sol
-        residual_sq += float(r @ r)
+        theta[b.col_start : b.col_stop] = sol.solutions[i, 3 - b.width :]
     intervals = theta_unpack(theta)
-    r0 = tuple(
-        (p.beta / p.gamma) if p.gamma != 0.0 else float("nan") for p in intervals
-    )
     return EstimationResult(
         theta_hat=theta,
         intervals_hat=intervals,
-        r0_hat=r0,
-        residual_norm=float(np.sqrt(residual_sq)),
-        block_ranks=tuple(ranks),
+        r0_hat=tuple(_r0_or_nan(p) for p in intervals),
+        residual_norm=float(np.sqrt(sol.residuals_sq.sum())),
+        block_ranks=tuple(sol.ranks.tolist()),
         unique=unique,
     )
 
@@ -416,11 +466,11 @@ def error_metrics(result: EstimationResult, truth: HybridModelSpec) -> ErrorMetr
         _entry(n, float(t), float(e))
         for n, t, e in zip(names, theta_true, result.theta_hat)
     )
-    r0_entries = []
-    for i, p in enumerate(truth.intervals):
-        r0_true = p.beta / p.gamma if p.gamma != 0.0 else float("nan")
-        r0_entries.append(_entry(f"r0_{i}", r0_true, float(result.r0_hat[i])))
-    return ErrorMetrics(params=params, r0=tuple(r0_entries))
+    r0 = tuple(
+        _entry(f"r0_{i}", _r0_or_nan(p), float(result.r0_hat[i]))
+        for i, p in enumerate(truth.intervals)
+    )
+    return ErrorMetrics(params=params, r0=r0)
 
 
 def forecast(

@@ -45,6 +45,7 @@ from .model import (
     Trajectory,
     UpdateSchedule,
     _load_json_object,
+    _r0_or_nan,
     parameter_names,
     scenario_from_dict,
     scenario_to_dict,
@@ -215,12 +216,7 @@ class StudyCell:
 
     def r0_matrix(self) -> np.ndarray:
         """Per-trial reproduction numbers, one column per interval."""
-        return np.array(
-            [
-                [p.beta / p.gamma if p.gamma != 0.0 else np.nan for p in theta_unpack(t)]
-                for t in self.theta_hats
-            ]
-        )
+        return np.array([[_r0_or_nan(p) for p in theta_unpack(t)] for t in self.theta_hats])
 
     def param_rel_errors(self) -> np.ndarray:
         return np.vstack([_rel_errors(self.theta_true, t) for t in self.theta_hats])
@@ -369,9 +365,7 @@ def run_noise_study(plan: ExperimentPlan) -> NoiseStudyResult:
     master_spec = HybridModelSpec(schedule=master_sched, intervals=spec0.intervals)
     x0 = plan.scenario.x0
     theta_true = spec0.theta
-    r0_true = np.array(
-        [p.beta / p.gamma if p.gamma != 0.0 else np.nan for p in spec0.intervals]
-    )
+    r0_true = np.array([_r0_or_nan(p) for p in spec0.intervals])
 
     clean_master: Trajectory | None = None
     if "noiseless" in plan.regimes or "observation" in plan.regimes:
@@ -512,9 +506,11 @@ def run_realdata_study(dataset: AlignedDataset, holdout: int | None = None) -> F
     diff = (sim - traj.values) * n
     owner = _interval_of_sample(sched, len(traj))
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged refit scores inf or nan
-        rmse = float(np.sqrt(np.mean(diff**2)))
+        sq = diff**2
+        rmse = float(np.sqrt(np.mean(sq)))
+        # every interval owns at least its opening sample, so no count is zero
         per_interval = tuple(
-            float(np.sqrt(np.mean(diff[owner == i] ** 2))) for i in range(sched.n_intervals)
+            np.sqrt(np.bincount(owner, sq) / np.bincount(owner)).tolist()
         )
     fitted = None
     try:

@@ -14,7 +14,6 @@ cycles; it is off by default and flagged on the result when used.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import json
 import logging
@@ -24,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import Trajectory, UpdateSchedule
+from .simulate import _read_csv
 
 __all__ = [
     "RawSeries",
@@ -59,16 +59,53 @@ class RawSeries:
         return len(self.dates)
 
 
+# the one date form read from the C-parsed body: exactly YYYY-MM-DD (the 11th
+# byte ends the field); numpy and date.fromisoformat differ on others (20240101)
+_ISO_DAY = np.frombuffer(b"9999-99-99\0", np.uint8)
+_SERIES_DTYPE = np.dtype([("date", "S11"), ("count", "i8")])
+
+
+def _series(days: np.ndarray, counts) -> RawSeries:
+    """RawSeries of increasing M8[D] days, every day missing between them a gap."""
+    missing = np.diff(days).astype(np.int64) - 1
+    first = np.repeat(np.cumsum(missing) - missing, missing)
+    gaps = np.repeat(days[:-1], missing) + (np.arange(first.size) - first + 1)
+    return RawSeries(dates=days.tolist(), counts=counts, gaps=gaps.tolist())
+
+
+def _parse_series(rows: np.ndarray) -> RawSeries | None:
+    """The C-parsed body as a RawSeries, or None where the row loop must
+    decide.  Dates are assembled from their digits: numpy's string cast
+    crashes on a bad date in a long array (numpy 2.4)."""
+    chars = np.ascontiguousarray(rows["date"]).view(np.uint8).reshape(-1, _ISO_DAY.size)
+    digit = _ISO_DAY == ord("9")
+    form = (chars == _ISO_DAY) | (digit & (chars >= ord("0")) & (chars <= ord("9")))
+    if rows.size < 2 or not form.all():
+        return None
+    ymd = chars[:, digit].astype(np.int64) - ord("0")
+    y = ymd[:, :4] @ np.array([1000, 100, 10, 1])
+    m = ymd[:, 4:6] @ np.array([10, 1])
+    months = ((y - 1970) * 12 + m - 1).astype("M8[M]")
+    days = months.astype("M8[D]") + (ymd[:, 6:] @ np.array([10, 1]) - 1)
+    # a day 00 or past the month's end lands in another month
+    real = (y >= 1) & (m >= 1) & (m <= 12) & (days.astype("M8[M]") == months)
+    if not real.all() or (rows["count"] < 0).any() or (np.diff(days).astype(np.int64) < 1).any():
+        return None
+    return _series(days, rows["count"])
+
+
 def load_series(path: str | Path) -> RawSeries:
     """Read a `date,peak_players` CSV.  Rejects malformed rows, duplicate or
-    out-of-order dates, and negative counts, naming the offending line."""
-    dates: list[dt.date] = []
-    counts: list[int] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    out-of-order dates, and negative counts, naming the offending line.  The
+    body is parsed in C, and a rejected file is re-read line by line."""
+
+    def check_header(header):
         if header is None or [c.strip().lower() for c in header] != ["date", "peak_players"]:
             raise ValueError(f"{path}: expected header 'date,peak_players', got {header}")
+
+    def row_loop(reader):
+        dates: list[dt.date] = []
+        counts: list[int] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -93,14 +130,11 @@ def load_series(path: str | Path) -> RawSeries:
                     )
             dates.append(day)
             counts.append(count)
-    if len(dates) < 2:
-        raise ValueError(f"{path}: need at least 2 daily rows, got {len(dates)}")
-    gaps: list[dt.date] = []
-    for a, b in zip(dates, dates[1:]):
-        missing = (b - a).days - 1
-        for j in range(missing):
-            gaps.append(a + dt.timedelta(days=j + 1))
-    return RawSeries(dates=tuple(dates), counts=np.asarray(counts), gaps=tuple(gaps))
+        if len(dates) < 2:
+            raise ValueError(f"{path}: need at least 2 daily rows, got {len(dates)}")
+        return _series(np.array(dates, "M8[D]"), np.asarray(counts))
+
+    return _read_csv(path, check_header, _SERIES_DTYPE, _parse_series, row_loop)
 
 
 def fill_gaps(series: RawSeries, method: str = "linear") -> RawSeries:

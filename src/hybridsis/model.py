@@ -82,6 +82,11 @@ def reproduction_number(params: IntervalParams) -> float:
     return params.beta / params.gamma
 
 
+def _r0_or_nan(params: IntervalParams) -> float:
+    """beta / gamma, or NaN where gamma is zero (raw estimates may have it)."""
+    return params.beta / params.gamma if params.gamma != 0.0 else float("nan")
+
+
 @dataclass(frozen=True)
 class UpdateSchedule:
     """Release sample indices 0 < T_1 < ... < T_m < final_step, plus step size.
@@ -238,8 +243,9 @@ class HybridModelSpec:
 class Trajectory:
     """A sampled share trajectory.  values[k] is the share at time k * step_size.
 
-    The value array is copied and frozen on construction.  population, when
-    set, gives the unit scale for converting shares to user counts.
+    The value array is copied and frozen on construction; NaN and infinity
+    are rejected.  population, when set, gives the unit scale for converting
+    shares to user counts.
     clamp_count records how many samples a producing routine had to clamp
     back into range (noise injection, SDE floor at zero).
     """
@@ -255,6 +261,9 @@ class Trajectory:
             raise ValueError(f"trajectory values must be one-dimensional, got shape {arr.shape}")
         if arr.size < 2:
             raise ValueError(f"a trajectory needs at least 2 samples, got {arr.size}")
+        if not np.isfinite([arr.min(), arr.max()]).all():  # NaN propagates to both
+            k = int(np.argmin(np.isfinite(arr)))
+            raise ValueError(f"trajectory value {arr[k]} at index {k} is not finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "step_size", float(self.step_size))

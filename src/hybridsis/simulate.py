@@ -378,6 +378,34 @@ def _grid_step(path, times: Sequence[float], linenos: Sequence[int]) -> float:
     return h
 
 
+def _read_csv(path, check_header, dtype, parse, row_loop, usecols=None):
+    """Parse a CSV body in C, explain a rejected one in Python.
+
+    check_header(first row or None) raises on a bad header.  np.loadtxt then
+    parses the body as `dtype` (warnings as errors) and parse(rows) returns
+    the result, or None, or raises ValueError to reject it.  A rejected body,
+    a file the csv module may read differently, or a stream that cannot seek
+    (a pipe is read once) goes to row_loop(reader), which names the bad line.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        check_header(next(reader, None))
+        if fh.seekable():
+            try:  # any error or warning here ("input contained no data" too) re-reads below
+                with warnings.catch_warnings(), np.errstate(all="ignore"):
+                    warnings.simplefilter("error")
+                    rows = np.loadtxt(fh, dtype, comments=None, delimiter=",",
+                                      quotechar='"', usecols=usecols, ndmin=1)
+                    result = parse(rows)
+                if result is not None and not _csv_may_differ(path):
+                    return result
+            except (ValueError, Warning):
+                pass
+            fh.seek(0)  # rejected: re-read line by line, to name the bad line
+            next(reader)
+        return row_loop(reader)
+
+
 def read_trajectory_csv(path: str | Path) -> Trajectory:
     """Read a trajectory written by write_trajectory_csv.
 
@@ -386,25 +414,18 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
     population scale is not stored in the file).  The body is parsed in C,
     and a rejected file is re-read line by line to name the bad line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+
+    def check_header(header):
         if header is None or [c.strip() for c in header[:3]] != ["step", "time", "x"]:
             raise ValueError(f"{path}: expected header step,time,x[,count]")
-        if fh.seekable():  # a pipe is read once, line by line
-            try:  # any error or warning here ("input contained no data" too) re-reads below
-                with warnings.catch_warnings(), np.errstate(all="ignore"):
-                    warnings.simplefilter("error")
-                    rows = np.loadtxt(fh, np.dtype("i8,f8,f8"), comments=None, delimiter=",",
-                                      quotechar='"', usecols=(0, 1, 2), ndmin=1)
-                    steps, t, x = (rows[name] for name in rows.dtype.names)
-                    valid = np.array_equal(steps, np.arange(t.size)) and np.isfinite(x).all()
-                    if valid and not _csv_may_differ(path):
-                        return Trajectory(values=x, step_size=_grid_step(path, t, linenos=steps))
-            except (ValueError, Warning):
-                pass
-            fh.seek(0)  # rejected: re-read line by line, to name the bad line
-            next(reader)
+
+    def parse(rows):
+        steps, t, x = (rows[name] for name in rows.dtype.names)
+        if np.array_equal(steps, np.arange(t.size)):  # Trajectory rejects NaN and inf
+            return Trajectory(values=x, step_size=_grid_step(path, t, linenos=steps))
+        return None
+
+    def row_loop(reader):
         values, times, linenos = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -424,4 +445,6 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
             values.append(x)
             times.append(t)
             linenos.append(lineno)
-    return Trajectory(values=np.asarray(values), step_size=_grid_step(path, times, linenos))
+        return Trajectory(values=np.asarray(values), step_size=_grid_step(path, times, linenos))
+
+    return _read_csv(path, check_header, np.dtype("i8,f8,f8"), parse, row_loop, usecols=(0, 1, 2))

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hybridsis import (
     EstimationResult,
@@ -15,6 +19,7 @@ from hybridsis import (
     forecast,
     simulate_dt,
 )
+from hybridsis.estimate import _STACK_ROWS, RANK_RTOL
 
 
 def test_regression_small_system_by_hand():
@@ -151,6 +156,100 @@ def test_estimate_min_norm_on_degenerate_interval():
     assert not result.unique
     assert result.block_ranks == (1,)
     assert np.all(np.isfinite(result.theta_hat))
+
+
+def test_shared_solve_matches_per_block_lstsq():
+    # block lengths: interval 0 empty (release at step 1), a block that is only
+    # its release row, many short blocks, one long block, one block longer than
+    # the rows of one batched QR call; rank-deficient blocks come from a zero
+    # pre-release share, a constant run and a single-flow-row interval
+    rng = np.random.default_rng(3)
+    gaps = [1, 1, *rng.integers(3, 9, size=60), 2, 1500, *rng.integers(3, 9, size=20)]
+    steps = np.cumsum(gaps)
+    final = int(steps[-1]) + _STACK_ROWS + 100
+    sched = UpdateSchedule(tuple(int(t) for t in steps), final, 0.5)
+    spec = HybridModelSpec(sched, (IntervalParams(beta=0.6, gamma=0.2),) + tuple(
+        IntervalParams(alpha=a, beta=b, gamma=g)
+        for a, b, g in zip(rng.uniform(-0.2, 0.2, sched.n_updates),
+                           rng.uniform(0.2, 0.8, sched.n_updates),
+                           rng.uniform(0.1, 0.5, sched.n_updates))
+    ))
+    x = simulate_dt(spec, 0.2).values.copy()
+    x += rng.normal(0.0, 1e-3, x.size)  # an inconsistent system: nonzero residuals
+    x[steps[10] - 1] = 0.0  # zero share entering release 11
+    x[steps[20] : steps[21] - 1] = 0.3  # interval 21 constant
+    traj = Trajectory(values=x, step_size=0.5)
+    system = build_regression(traj, sched)
+
+    lengths = [b.row_stop - b.row_start for b in system.blocks]
+    assert lengths[0] == 0 and lengths[1] == 1 and max(lengths) > _STACK_ROWS
+    ref_theta = np.zeros(system.blocks[-1].col_stop)
+    ref_ranks, ref_sq = [], 0.0
+    for i, b in enumerate(system.blocks):
+        a, rhs = system.block_matrix(i), system.block_rhs(i)
+        sol, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=RANK_RTOL)
+        ref_theta[b.col_start : b.col_stop] = sol
+        ref_ranks.append(int(rank))
+        ref_sq += float((rhs - a @ sol) @ (rhs - a @ sol))
+    assert ref_ranks[0] == 0 and ref_ranks[11] < 3 and ref_ranks[21] < 3
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        result = estimate(system)
+    assert result.block_ranks == tuple(ref_ranks)
+    for b in system.blocks:
+        want = ref_theta[b.col_start : b.col_stop]
+        got = result.theta_hat[b.col_start : b.col_stop]
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+    assert result.residual_norm == pytest.approx(np.sqrt(ref_sq), rel=1e-12)
+    report = check_identifiability(system, traj, sched)
+    assert [c.rank for c in report.intervals] == ref_ranks
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(0, 4),
+    h=st.sampled_from([0.1, 0.5, 1.0]),
+    x0=st.floats(0.01, 0.9),
+)
+def test_estimate_recovers_theta_property(seed, m, h, x0):
+    # noiseless sampled data determine theta: each full-rank block recovers
+    # its parameters to within rounding amplified by its condition number
+    rng = np.random.default_rng(seed)
+    seg = rng.integers(4, 21, size=m + 1)
+    sched = UpdateSchedule(tuple(int(t) for t in np.cumsum(seg[:-1])), int(seg.sum()), h)
+    rates = rng.uniform(0.05, 1.0, size=(m + 1, 2))
+    intervals = [IntervalParams(beta=rates[0, 0], gamma=rates[0, 1])] + [
+        IntervalParams(alpha=a, beta=b, gamma=g)
+        for a, (b, g) in zip(rng.uniform(-0.5, 1.0, m), rates[1:])
+    ]
+    spec = HybridModelSpec(sched, tuple(intervals))
+    try:
+        traj = simulate_dt(spec, x0)
+    except ValueError:
+        assume(False)  # a release left [0, 1]
+    system = build_regression(traj, sched)
+    report = check_identifiability(system, traj, sched)
+    assume(report.overall and report.psi_rank == report.required_rank)
+    theta = estimate(system).theta_hat
+    for b, c in zip(system.blocks, report.intervals):
+        want = spec.theta[b.col_start : b.col_stop]
+        err = np.abs(theta[b.col_start : b.col_stop] - want).max() / np.abs(want).max()
+        assert err <= 1e-12 * c.condition
+
+
+def test_identifiability_reports_conditioning():
+    sched = UpdateSchedule((3,), 7, 1.0)
+    x = np.array([0.2, 0.3, 0.35, 0.4, 0.4, 0.4, 0.4, 0.4])  # interval 1 constant
+    traj = Trajectory(values=x, step_size=1.0)
+    system = build_regression(traj, sched)
+    report = check_identifiability(system, traj, sched)
+    c0, c1 = report.intervals
+    assert c0.condition == pytest.approx(np.linalg.cond(system.block_matrix(0)), rel=1e-12)
+    assert np.isnan(c1.condition)  # rank deficient
+    d = report.to_dict()["intervals"]
+    assert d[0]["condition"] == c0.condition and d[1]["condition"] is None
 
 
 def test_identifiability_demo_all_ok(demo_scenario):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import datetime as dt
 import json
 
@@ -197,6 +198,21 @@ def test_realdata_study_exact_fit():
     d = report.to_dict()
     assert d["ok"] and d["fitted_scenario"] is not None
     assert d["update_steps"] == [30, 70]
+
+
+def test_realdata_study_per_interval_rmse_matches_masked_means():
+    dataset, _ = synthetic_dataset()
+    rng = np.random.default_rng(0)
+    noisy = np.clip(dataset.trajectory.values + rng.normal(0, 1e-3, 121), 0.0, 1.0)
+    traj = Trajectory(values=noisy, step_size=1.0, population=dataset.population)
+    report = run_realdata_study(dataclasses.replace(dataset, trajectory=traj))
+    fitted = simulate_dt(report.fitted.spec, noisy[0]).values
+    diff = (fitted - noisy) * dataset.population
+    # a release sample belongs to the interval it opens
+    owner = np.searchsorted(dataset.schedule.update_steps, np.arange(121), side="right")
+    want = [np.sqrt(np.mean(diff[owner == i] ** 2)) for i in range(3)]
+    np.testing.assert_allclose(report.per_interval_rmse_counts, want, rtol=1e-12)
+    assert report.rmse_counts == pytest.approx(np.sqrt(np.mean(diff**2)), rel=1e-12)
 
 
 def test_realdata_study_holdout():

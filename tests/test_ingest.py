@@ -1,9 +1,14 @@
+import csv
 import datetime as dt
 import logging
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hybridsis.ingest
 from hybridsis import (
     AlignedDataset,
     align,
@@ -11,6 +16,7 @@ from hybridsis import (
     load_series,
     load_update_dates,
 )
+from hybridsis.ingest import RawSeries
 
 START = dt.date(2024, 3, 1)
 
@@ -74,6 +80,242 @@ def test_load_series_error_names_line(tmp_path):
     p.write_text("date,peak_players\n2024-03-01,10\n2024-03-02,oops\n")
     with pytest.raises(ValueError, match=":3:"):
         load_series(p)
+
+
+# load_series outcomes recorded with the line-by-line reader that the C
+# parser now sits in front of: (dates, counts, gaps) as ISO strings and ints,
+# or (exception type, message); a third item lists the warnings raised.
+# "{path}" stands for the file's path.
+H = b"date,peak_players\n"
+SERIES_CORPUS = {
+    "plain": (H + b"2024-03-01,10\n2024-03-02,20\n", (["2024-03-01", "2024-03-02"], [10, 20], [])),
+    "gap": (
+        H + b"2024-03-01,10\n2024-03-04,40\n2024-03-05,50\n",
+        (["2024-03-01", "2024-03-04", "2024-03-05"], [10, 40, 50], ["2024-03-02", "2024-03-03"]),
+    ),
+    "upper_header_spaces": (
+        b" Date , PEAK_PLAYERS \n2024-03-01,10\n2024-03-02,20\n",
+        (["2024-03-01", "2024-03-02"], [10, 20], []),
+    ),
+    "wrong_header": (
+        b"day,players\n2024-03-01,10\n2024-03-02,20\n",
+        (ValueError, "{path}: expected header 'date,peak_players', got ['day', 'players']"),
+    ),
+    "empty_file": (b"", (ValueError, "{path}: expected header 'date,peak_players', got None")),
+    "header_only": (H, (ValueError, "{path}: need at least 2 daily rows, got 0")),
+    "single_row": (H + b"2024-03-01,10\n", (ValueError, "{path}: need at least 2 daily rows, got 1")),
+    # date.fromisoformat reads these; numpy reads the first as year 20240301
+    "basic_format_date": (
+        H + b"20240301,10\n2024-03-02,20\n", (["2024-03-01", "2024-03-02"], [10, 20], [])
+    ),
+    "week_date": (H + b"2024-W09-5,10\n2024-03-02,20\n", (["2024-03-01", "2024-03-02"], [10, 20], [])),
+    "ordinal_date": (
+        H + b"2024-061,10\n2024-03-02,20\n",
+        (ValueError, "{path}:2: bad date '2024-061': Invalid isoformat string: '2024-061'"),
+    ),
+    "datetime_suffix": (
+        H + b"2024-03-01T00,10\n2024-03-02,20\n",
+        (ValueError, "{path}:2: bad date '2024-03-01T00': Invalid isoformat string: '2024-03-01T00'"),
+    ),
+    "year_zero": (
+        H + b"0000-12-31,10\n0001-01-01,20\n",
+        (ValueError, "{path}:2: bad date '0000-12-31': year 0 is out of range"),
+    ),
+    "invalid_day": (
+        H + b"2024-02-29,10\n2024-02-30,20\n",
+        (ValueError, "{path}:3: bad date '2024-02-30': day is out of range for month"),
+    ),
+    "unpadded_date": (
+        H + b"2024-3-1,10\n2024-03-02,20\n",
+        (ValueError, "{path}:2: bad date '2024-3-1': Invalid isoformat string: '2024-3-1'"),
+    ),
+    "whitespace_date": (
+        H + b" 2024-03-01 ,10\n\t2024-03-02,20\n", (["2024-03-01", "2024-03-02"], [10, 20], [])
+    ),
+    "whitespace_count": (
+        H + b"2024-03-01, 10\n2024-03-02,20 \n", (["2024-03-01", "2024-03-02"], [10, 20], [])
+    ),
+    "signed_count": (H + b"2024-03-01,+10\n2024-03-02,-0\n", (["2024-03-01", "2024-03-02"], [10, 0], [])),
+    "underscore_count": (
+        H + b"2024-03-01,1_000\n2024-03-02,20\n", (["2024-03-01", "2024-03-02"], [1000, 20], [])
+    ),
+    "float_count": (H + b"2024-03-01,10.0\n2024-03-02,20\n", (ValueError, "{path}:2: bad count '10.0'")),
+    "crlf": (
+        b"date,peak_players\r\n2024-03-01,10\r\n2024-03-02,20\r\n",
+        (["2024-03-01", "2024-03-02"], [10, 20], []),
+    ),
+    "lone_cr": (
+        b"date,peak_players\r2024-03-01,10\r2024-03-02,20\r",
+        (["2024-03-01", "2024-03-02"], [10, 20], []),
+    ),
+    "blank_lines": (
+        H + b"\n2024-03-01,10\n\n\n2024-03-02,20\n\n", (["2024-03-01", "2024-03-02"], [10, 20], [])
+    ),
+    "whitespace_line": (
+        H + b"2024-03-01,10\n   \n2024-03-02,20\n", (["2024-03-01", "2024-03-02"], [10, 20], [])
+    ),
+    "quoted_fields": (
+        H + b'"2024-03-01","10"\n2024-03-02,"20"\n', (["2024-03-01", "2024-03-02"], [10, 20], [])
+    ),
+    "quoted_comma": (H + b'2024-03-01,"1,0"\n2024-03-02,20\n', (ValueError, "{path}:2: bad count '1,0'")),
+    "three_columns": (
+        H + b"2024-03-01,10,5\n2024-03-02,20\n", (ValueError, "{path}:2: expected 2 columns, got 3")
+    ),
+    "one_column": (H + b"2024-03-01,10\n2024-03-02\n", (ValueError, "{path}:3: expected 2 columns, got 1")),
+    "bad_count": (H + b"2024-03-01,10\n2024-03-02,oops\n", (ValueError, "{path}:3: bad count 'oops'")),
+    "negative_count": (H + b"2024-03-01,10\n2024-03-02,-5\n", (ValueError, "{path}:3: negative count -5")),
+    "duplicate_date": (
+        H + b"2024-03-01,10\n2024-03-02,20\n2024-03-02,30\n",
+        (ValueError, "{path}:4: duplicate date 2024-03-02"),
+    ),
+    "out_of_order": (
+        H + b"2024-03-01,10\n2024-03-03,20\n2024-03-02,30\n",
+        (ValueError, "{path}:4: date 2024-03-02 is out of order (after 2024-03-03)"),
+    ),
+    "out_of_order_after_blank": (
+        H + b"2024-03-01,10\n\n2024-03-03,20\n\n2024-03-02,30\n",
+        (ValueError, "{path}:6: date 2024-03-02 is out of order (after 2024-03-03)"),
+    ),
+    "count_i8_max": (
+        H + b"2024-03-01,9223372036854775807\n2024-03-02,0\n",
+        (["2024-03-01", "2024-03-02"], [9223372036854775807, 0], []),
+    ),
+    # recorded as the row loop reads it: the count wraps in the int64 cast
+    "count_beyond_i8": (
+        H + b"2024-03-01,9223372036854775808\n2024-03-02,20\n",
+        (["2024-03-01", "2024-03-02"], [-9223372036854775808, 20], [],
+         ["invalid value encountered in cast"]),
+    ),
+    "separator_padding": (
+        H + b"2024-03-01,10\x1c\n2024-03-02,20\n", (["2024-03-01", "2024-03-02"], [10, 20], [])
+    ),
+    "nul_byte": (H + b"2024-03-01,10\n2024-03-02,2\x000\n", (ValueError, "{path}:3: bad count '2\\x000'")),
+    "no_final_newline": (H + b"2024-03-01,10\n2024-03-02,20", (["2024-03-01", "2024-03-02"], [10, 20], [])),
+}
+
+
+def _series_outcome(read, path):
+    """What read(path) returns or raises, as plain data, plus its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            s = read(path)
+            out = (list(s.dates), s.counts.tolist(), s.counts.dtype, list(s.gaps))
+        except Exception as exc:  # the reader's own exception is the outcome
+            out = (type(exc), str(exc))
+    return out, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("name", list(SERIES_CORPUS))
+def test_load_series_diagnostics_corpus(tmp_path, name):
+    data, expected = SERIES_CORPUS[name]
+    path = tmp_path / "c.csv"
+    path.write_bytes(data)
+    got, caught = _series_outcome(load_series, path)
+    if isinstance(expected[0], list):
+        dates, counts, gaps, *warned = expected
+        iso = [dt.date.fromisoformat(d) for d in dates]
+        gap_days = [dt.date.fromisoformat(d) for d in gaps]
+        assert got == (iso, counts, np.dtype(np.int64), gap_days)
+        assert caught == (warned[0] if warned else [])
+    else:
+        assert got == (expected[0], expected[1].replace("{path}", str(path)))
+        assert caught == []
+
+
+def _reference_load_series(path):
+    """load_series as a plain row loop, the reference the C-parsed reader must match."""
+    dates, counts = [], []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [c.strip().lower() for c in header] != ["date", "peak_players"]:
+            raise ValueError(f"{path}: expected header 'date,peak_players', got {header}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+            try:
+                day = dt.date.fromisoformat(row[0].strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad date {row[0]!r}: {exc}") from exc
+            try:
+                count = int(row[1].strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad count {row[1]!r}") from exc
+            if count < 0:
+                raise ValueError(f"{path}:{lineno}: negative count {count}")
+            if dates:
+                if day == dates[-1]:
+                    raise ValueError(f"{path}:{lineno}: duplicate date {day}")
+                if day < dates[-1]:
+                    raise ValueError(
+                        f"{path}:{lineno}: date {day} is out of order (after {dates[-1]})"
+                    )
+            dates.append(day)
+            counts.append(count)
+    if len(dates) < 2:
+        raise ValueError(f"{path}: need at least 2 daily rows, got {len(dates)}")
+    gaps = []
+    for a, b in zip(dates, dates[1:]):
+        gaps.extend(a + dt.timedelta(days=j + 1) for j in range((b - a).days - 1))
+    return RawSeries(dates=tuple(dates), counts=np.asarray(counts), gaps=tuple(gaps))
+
+
+_ODD_DATES = ["20240301", "2024-W09-5", "2024-061", " 2024-03-01", "2024-03-01 ", "2024-02-30",
+              "0000-01-01", "0001-01-01", "9999-12-31", "2024-3-1", "2024-03-01T00", "+2024-03-01",
+              "２０２４-03-01", "", "2024-13-01", "2024-00-10", "2024/03/01", "2024-03", '"2024-03-01"']
+_ODD_COUNTS = ["-0", "+5", " 5", "5 ", "1_000", "1.0", "1e3", "9223372036854775808", "", "x",
+               "٥", '"5"', "-1", "007", "0x10", "5\x1c", "\t5", "nan", "1 2", "\u30005"]
+
+
+@st.composite
+def _series_files(draw):
+    """Small CSV files: mostly valid daily rows, with odd fields, steps and lines mixed in."""
+    day = draw(st.dates(dt.date(1, 1, 1), dt.date(9999, 11, 1)))
+    odd = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    lines = ["date,peak_players"]
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.floats(0, 1)) < odd:
+            date = draw(st.sampled_from(_ODD_DATES))
+        else:
+            step = draw(st.sampled_from([1, 1, 1, 2, 5] if draw(st.floats(0, 1)) >= odd else [0, -1]))
+            day = min(day + dt.timedelta(days=step), dt.date(9999, 12, 31))
+            date = day.isoformat()
+        count = draw(st.sampled_from(_ODD_COUNTS) if draw(st.floats(0, 1)) < odd
+                     else st.integers(0, 10**12).map(str))
+        line = f"{date},{count}"
+        if draw(st.floats(0, 1)) < odd:
+            line = draw(st.sampled_from(["", "   ", ",", f"{line},", date, f'"{date}",{count}']))
+        lines.append(line)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return (eol.join(lines) + draw(st.sampled_from([eol, ""]))).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_series_files())
+def test_load_series_matches_the_row_loop(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "s.csv"
+    path.write_bytes(data)
+    assert _series_outcome(load_series, path) == _series_outcome(_reference_load_series, path)
+
+
+def test_load_series_parses_clean_files_in_c(tmp_path, monkeypatch):
+    # a clean file never reaches the row loop: the C-parsed body is accepted
+    accepted = []
+    parse = hybridsis.ingest._parse_series
+
+    def recording_parse(rows):
+        accepted.append(parse(rows))
+        return accepted[-1]
+
+    monkeypatch.setattr(hybridsis.ingest, "_parse_series", recording_parse)
+    p = tmp_path / "s.csv"
+    write_csv(p, daily_rows(range(100, 140), skip={START + dt.timedelta(days=3)}))
+    series = load_series(p)
+    assert isinstance(accepted[0], RawSeries)
+    assert series.gaps == (START + dt.timedelta(days=3),)
 
 
 def test_fill_gaps_linear(tmp_path, caplog):

@@ -152,6 +152,13 @@ def test_trajectory_validation():
         Trajectory(values=[0.1, 0.2], step_size=1.0, population=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trajectory_rejects_non_finite_values(bad):
+    values = [0.1, 0.2, bad, 0.3, bad]
+    with pytest.raises(ValueError, match=f"^trajectory value {bad} at index 2 is not finite$"):
+        Trajectory(values=values, step_size=1.0)
+
+
 def test_trajectory_copies_and_freezes_values():
     src = np.array([0.1, 0.2, 0.3])
     traj = Trajectory(values=src, step_size=0.5)
