@@ -25,7 +25,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .estimate import (
@@ -79,7 +78,6 @@ def _write_manifest(
         "outputs": {str(p): _sha256(Path(p)) for p in outputs},
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "started_utc": dt.datetime.fromtimestamp(started, dt.timezone.utc).isoformat(),
         "duration_s": time.time() - started,
     }
@@ -133,7 +131,7 @@ def _cmd_identify(args, argv: list[str]) -> int:
     traj = read_trajectory_csv(args.traj)
     schedule = load_schedule(args.schedule)
     system = build_regression(traj, schedule)
-    report = check_identifiability(system, traj, schedule)
+    report = check_identifiability(system)
     _print_json(report.to_dict())
     return EXIT_OK if report.overall else EXIT_NOT_IDENTIFIABLE
 
@@ -142,7 +140,7 @@ def _cmd_estimate(args, argv: list[str]) -> int:
     traj = read_trajectory_csv(args.traj)
     schedule = load_schedule(args.schedule)
     system = build_regression(traj, schedule)
-    report = check_identifiability(system, traj, schedule)
+    report = check_identifiability(system)
     if not report.overall and not args.lenient:
         print(
             "error: parameters are not uniquely identifiable from this trajectory "

@@ -53,6 +53,7 @@ from .model import (
     IntervalParams,
     Trajectory,
     UpdateSchedule,
+    _interval_to_dict,
     _r0_or_nan,
     parameter_names,
     theta_slice,
@@ -63,7 +64,6 @@ from .simulate import _recurse
 __all__ = [
     "VARIATION_TOL",
     "RANK_RTOL",
-    "BlockSlice",
     "RegressionSystem",
     "BlockSolution",
     "build_regression",
@@ -98,37 +98,36 @@ class RankDeficiencyWarning(UserWarning):
     """A regression block was numerically rank deficient."""
 
 
-@dataclass(frozen=True)
-class BlockSlice:
-    """Row extent of one interval's diagonal block and the theta columns it
-    solves for (both half-open)."""
-
-    interval: int
-    row_start: int
-    row_stop: int
-    col_start: int
-    col_stop: int
-
-    @property
-    def width(self) -> int:
-        return self.col_stop - self.col_start
+def _width(i: int) -> int:
+    """Theta columns of interval i's block, and so the rank it needs."""
+    cols = theta_slice(i)
+    return cols.stop - cols.start
 
 
 @dataclass(frozen=True)
 class RegressionSystem:
-    """y and the compact (final_step, 3) Psi described in the module notes."""
+    """y and the compact (final_step, 3) Psi described in the module notes,
+    with the shares x and the schedule they were built from."""
 
+    x: np.ndarray
+    schedule: UpdateSchedule
     y: np.ndarray
     psi: np.ndarray
-    blocks: tuple[BlockSlice, ...]
+
+    def block_rows(self, i: int) -> range:
+        """Rows of interval i's block: its release row (i >= 1), then its
+        ordinary rows, which may be none."""
+        ks = self.schedule.sis_index_range(i)
+        return range(ks.start - 1 if i else 0, ks.stop)
 
     def block_matrix(self, i: int) -> np.ndarray:
-        b = self.blocks[i]
-        return self.psi[b.row_start : b.row_stop, 3 - b.width :]
+        rows = self.block_rows(i)
+        # the last width columns: interval 0 has no release column
+        return self.psi[rows.start : rows.stop, -_width(i) :]
 
     def block_rhs(self, i: int) -> np.ndarray:
-        b = self.blocks[i]
-        return self.y[b.row_start : b.row_stop]
+        rows = self.block_rows(i)
+        return self.y[rows.start : rows.stop]
 
     @cached_property
     def solution(self) -> "BlockSolution":
@@ -139,9 +138,10 @@ class RegressionSystem:
         goes alone), so few calls serve many short blocks and no call holds
         more than the budget or one block.  Zero-row blocks are not
         factored: rank 0, zero solution."""
-        n = len(self.blocks)
-        lengths = [b.row_stop - b.row_start for b in self.blocks]
-        widths = np.array([b.width for b in self.blocks])
+        n = self.schedule.n_intervals
+        rows = [self.block_rows(i) for i in range(n)]
+        lengths = [len(r) for r in rows]
+        widths = np.array([_width(i) for i in range(n)])
         # singular values, zero-padded: a zero-row block has none
         sv, solutions, residuals_sq = np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n)
         # interval 0's release column is zero: its factor gains a zero column
@@ -155,9 +155,8 @@ class RegressionSystem:
             idx, order = order[:k], order[k:]
             ay = np.zeros((k, max(4, lengths[idx[-1]]), 4))  # at least 4 rows: R is 4 x 4
             for j, i in enumerate(idx):
-                b = self.blocks[i]
-                ay[j, : lengths[i], :3] = self.psi[b.row_start : b.row_stop]
-                ay[j, : lengths[i], 3] = self.y[b.row_start : b.row_stop]
+                ay[j, : lengths[i], :3] = self.psi[rows[i].start : rows[i].stop]
+                ay[j, : lengths[i], 3] = self.y[rows[i].start : rows[i].stop]
             # with A = QR: R[:3, :3] is R, R[:3, 3] is Q^T y, and |R[3, 3]| is
             # the norm of the part of y outside the span of A
             r = np.linalg.qr(ay, mode="r")
@@ -185,17 +184,13 @@ class BlockSolution:
     residuals_sq: np.ndarray
 
 
-def _check_step_sizes(traj: Trajectory, schedule: UpdateSchedule) -> None:
+def build_regression(traj: Trajectory, schedule: UpdateSchedule) -> RegressionSystem:
+    """Assemble y and the compact block-diagonal Psi for a trajectory and schedule."""
     h1, h2 = traj.step_size, schedule.step_size
     if abs(h1 - h2) > 1e-9 * max(1.0, abs(h1), abs(h2)):
         raise ValueError(
             f"trajectory step size {h1!r} does not match schedule step size {h2!r}"
         )
-
-
-def build_regression(traj: Trajectory, schedule: UpdateSchedule) -> RegressionSystem:
-    """Assemble y and the compact block-diagonal Psi for a trajectory and schedule."""
-    _check_step_sizes(traj, schedule)
     x = traj.values
     m = schedule.n_updates
     n_rows = schedule.final_step
@@ -217,22 +212,7 @@ def build_regression(traj: Trajectory, schedule: UpdateSchedule) -> RegressionSy
     release_rows = [t - 1 for t in schedule.update_steps]
     psi[release_rows, 0] = xk[release_rows]
     psi[release_rows, 1:] = 0.0
-    blocks: list[BlockSlice] = []
-    for i in range(m + 1):
-        cols = theta_slice(i)
-        # the ordinary range's stop bounds the block's rows in every case: an
-        # empty range leaves interval 0 with no rows and a later interval with
-        # just its release row
-        blocks.append(
-            BlockSlice(
-                interval=i,
-                row_start=0 if i == 0 else release_rows[i - 1],
-                row_stop=schedule.sis_index_range(i).stop,
-                col_start=cols.start,
-                col_stop=cols.stop,
-            )
-        )
-    return RegressionSystem(y=y, psi=psi, blocks=tuple(blocks))
+    return RegressionSystem(x=x, schedule=schedule, y=y, psi=psi)
 
 
 def _has_variation(x: np.ndarray, ranges: list[range]) -> np.ndarray:
@@ -304,9 +284,7 @@ class IdentifiabilityReport:
         }
 
 
-def check_identifiability(
-    system: RegressionSystem, traj: Trajectory, schedule: UpdateSchedule
-) -> IdentifiabilityReport:
+def check_identifiability(system: RegressionSystem) -> IdentifiabilityReport:
     """Evaluate, per interval, the exact conditions for a unique solution.
 
     length_ok: at least two ordinary rows in the interval's block.
@@ -320,8 +298,7 @@ def check_identifiability(
     cross-checked, and each block's condition number, which the verdict
     does not use.
     """
-    _check_step_sizes(traj, schedule)
-    x = traj.values
+    x, schedule = system.x, system.schedule
     ranges = [schedule.sis_index_range(i) for i in range(schedule.n_intervals)]
     variation_ok = _has_variation(x, ranges)
     pre_release = np.array(schedule.update_steps, dtype=int) - 1
@@ -334,10 +311,10 @@ def check_identifiability(
             variation_ok=bool(variation_ok[i]),
             jump_state_ok=bool(jump_ok[i]),
             rank=int(sol.ranks[i]),
-            required_rank=b.width,
+            required_rank=_width(i),
             condition=float(sol.conditions[i]),
         )
-        for i, (ks, b) in enumerate(zip(ranges, system.blocks))
+        for i, ks in enumerate(ranges)
     )
     return IdentifiabilityReport(
         intervals=conditions,
@@ -359,14 +336,7 @@ class EstimationResult:
     def to_dict(self) -> dict:
         return {
             "theta": [float(v) for v in self.theta_hat],
-            "intervals": [
-                (
-                    {"beta": p.beta, "gamma": p.gamma}
-                    if p.alpha is None
-                    else {"alpha": p.alpha, "beta": p.beta, "gamma": p.gamma}
-                )
-                for p in self.intervals_hat
-            ],
+            "intervals": [_interval_to_dict(p) for p in self.intervals_hat],
             "r0": [_json_float(v) for v in self.r0_hat],
             "residual_norm": float(self.residual_norm),
             "unique": self.unique,
@@ -383,19 +353,20 @@ def estimate(system: RegressionSystem) -> EstimationResult:
     non-unique (with a RankDeficiencyWarning).
     """
     sol = system.solution
-    theta = np.zeros(system.blocks[-1].col_stop, dtype=float)
+    m = system.schedule.n_updates
+    theta = np.zeros(theta_slice(m).stop, dtype=float)
     unique = True
-    for i, b in enumerate(system.blocks):
-        rank = int(sol.ranks[i])
-        if rank < b.width:
+    for i in range(m + 1):
+        rank, width = int(sol.ranks[i]), _width(i)
+        if rank < width:
             unique = False
             warnings.warn(
-                f"interval {i}: regression block has rank {rank} < {b.width}; "
+                f"interval {i}: regression block has rank {rank} < {width}; "
                 "returning the minimum-norm solution",
                 RankDeficiencyWarning,
                 stacklevel=2,
             )
-        theta[b.col_start : b.col_stop] = sol.solutions[i, 3 - b.width :]
+        theta[theta_slice(i)] = sol.solutions[i, -width:]
     intervals = theta_unpack(theta)
     return EstimationResult(
         theta_hat=theta,
@@ -442,10 +413,6 @@ class ErrorMetrics:
     @property
     def max_param_error(self) -> float:
         return max(e.error for e in self.params)
-
-    @property
-    def max_r0_error(self) -> float:
-        return max(e.error for e in self.r0)
 
     def to_dict(self) -> dict:
         return {

@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,8 +75,8 @@ def derive_seed(base: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
 
 
-def _h_key(h: float) -> str:
-    return format(h, ".17g")
+def _g17(x: float) -> str:
+    return format(x, ".17g")
 
 
 def _near_int(x: float, what: str) -> int:
@@ -318,7 +318,7 @@ class NoiseStudyResult:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["regime", "h", "trial", "param", "true", "estimate", "rel_error"])
             for regime, h, trial, name, t, e, r in self.param_rows():
-                w.writerow([regime, _h_key(h), trial, name, _g17(t), _g17(e), _g17(r)])
+                w.writerow([regime, _g17(h), trial, name, _g17(t), _g17(e), _g17(r)])
         paths.append(p)
 
         p = out / "r0.csv"
@@ -326,7 +326,7 @@ class NoiseStudyResult:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["regime", "h", "interval", "r0_true", "r0_est", "rel_error"])
             for regime, h, i, t, e, r in self.r0_rows():
-                w.writerow([regime, _h_key(h), i, _g17(t), _g17(e), _g17(r)])
+                w.writerow([regime, _g17(h), i, _g17(t), _g17(e), _g17(r)])
         paths.append(p)
 
         p = out / "summary.json"
@@ -337,17 +337,13 @@ class NoiseStudyResult:
         return paths
 
 
-def _g17(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _run_cell_trial(cell: StudyCell, traj: Trajectory, schedule: UpdateSchedule) -> None:
     """Estimate one trial into a cell; an identifiability failure marks the
     whole cell failed and later trials are skipped."""
     if cell.failed:
         return
     system = build_regression(traj, schedule)
-    report = check_identifiability(system, traj, schedule)
+    report = check_identifiability(system)
     if not report.overall:
         cell.failed = True
         cell.failure = report
@@ -400,7 +396,7 @@ def run_noise_study(plan: ExperimentPlan) -> NoiseStudyResult:
                         traj = add_observation_noise(
                             base,
                             plan.sigma,
-                            derive_seed(plan.seed, "observation", _h_key(h), trial),
+                            derive_seed(plan.seed, "observation", _g17(h), trial),
                         )
                     else:
                         traj = base
@@ -461,7 +457,6 @@ class FitReport:
             "update_steps": list(self.dataset.schedule.update_steps),
             "final_step": self.dataset.schedule.final_step,
             "smoothed": self.dataset.smoothed,
-            "start_at_update": self.dataset.start_at_update,
             "identifiability": self.identifiability.to_dict(),
             "estimation": self.estimation.to_dict() if self.estimation else None,
             "rmse_counts": _json_float(self.rmse_counts),
@@ -484,7 +479,7 @@ def run_realdata_study(dataset: AlignedDataset, holdout: int | None = None) -> F
     point using only the estimated parameters, and reports root-mean-square
     deviation in user-count units, overall and per interval.
 
-    With holdout = n, the model is refit on the data minus its last n samples
+    With holdout = n, this same fit runs on the data minus its last n samples
     (releases falling inside the held-out tail are dropped, never invented)
     and the held-out tail is forecast by continuing the last fitted
     interval's rates from the cut; the tail RMSE is reported.  The truncated
@@ -495,7 +490,7 @@ def run_realdata_study(dataset: AlignedDataset, holdout: int | None = None) -> F
     sched = dataset.schedule
     n = dataset.population
     system = build_regression(traj, sched)
-    report = check_identifiability(system, traj, sched)
+    report = check_identifiability(system)
     if not report.overall:
         return FitReport(dataset=dataset, ok=False, identifiability=report)
 
@@ -530,44 +525,38 @@ def run_realdata_study(dataset: AlignedDataset, holdout: int | None = None) -> F
             raise ValueError(
                 f"holdout {holdout} leaves no usable prefix (cut at step {cut})"
             )
-        kept = tuple(t for t in sched.update_steps if t < cut)
-        prefix_sched = UpdateSchedule(
-            update_steps=kept, final_step=cut, step_size=sched.step_size
-        )
-        prefix_traj = Trajectory(
-            values=traj.values[: cut + 1], step_size=traj.step_size, population=n
-        )
-        prefix_system = build_regression(prefix_traj, prefix_sched)
-        prefix_report = check_identifiability(prefix_system, prefix_traj, prefix_sched)
-        if not prefix_report.overall:
-            holdout_result = HoldoutResult(
-                cut_step=cut,
-                horizon=holdout,
-                ok=False,
-                identifiability=prefix_report,
-                estimation=None,
-                forecast_values=None,
-                forecast_rmse_counts=None,
+        prefix = run_realdata_study(
+            replace(
+                dataset,
+                trajectory=Trajectory(
+                    values=traj.values[: cut + 1], step_size=traj.step_size, population=n
+                ),
+                schedule=UpdateSchedule(
+                    update_steps=tuple(t for t in sched.update_steps if t < cut),
+                    final_step=cut,
+                    step_size=sched.step_size,
+                ),
             )
-        else:
-            prefix_est = estimate(prefix_system)
+        )
+        fc_arr = fc_rmse = None
+        if prefix.ok:
             fc_arr, _ = _recurse(
                 UpdateSchedule((), holdout, sched.step_size),
-                prefix_est.intervals_hat[-1:],
+                prefix.estimation.intervals_hat[-1:],
                 traj.values[cut],
                 on_jump_escape=None,
             )
             tail = traj.values[cut : sched.final_step + 1]
             fc_rmse = float(np.sqrt(np.mean(((fc_arr[1:] - tail[1:]) * n) ** 2)))
-            holdout_result = HoldoutResult(
-                cut_step=cut,
-                horizon=holdout,
-                ok=True,
-                identifiability=prefix_report,
-                estimation=prefix_est,
-                forecast_values=fc_arr,
-                forecast_rmse_counts=fc_rmse,
-            )
+        holdout_result = HoldoutResult(
+            cut_step=cut,
+            horizon=holdout,
+            ok=prefix.ok,
+            identifiability=prefix.identifiability,
+            estimation=prefix.estimation,
+            forecast_values=fc_arr,
+            forecast_rmse_counts=fc_rmse,
+        )
 
     return FitReport(
         dataset=dataset,

@@ -63,6 +63,7 @@ class RawSeries:
 # byte ends the field); numpy and date.fromisoformat differ on others (20240101)
 _ISO_DAY = np.frombuffer(b"9999-99-99\0", np.uint8)
 _SERIES_DTYPE = np.dtype([("date", "S11"), ("count", "i8")])
+_I8_MAX = np.iinfo(np.int64).max
 
 
 def _series(days: np.ndarray, counts) -> RawSeries:
@@ -96,8 +97,9 @@ def _parse_series(rows: np.ndarray) -> RawSeries | None:
 
 def load_series(path: str | Path) -> RawSeries:
     """Read a `date,peak_players` CSV.  Rejects malformed rows, duplicate or
-    out-of-order dates, and negative counts, naming the offending line.  The
-    body is parsed in C, and a rejected file is re-read line by line."""
+    out-of-order dates, and counts that are negative or beyond int64, naming
+    the offending line.  The body is parsed in C, and a rejected file is
+    re-read line by line."""
 
     def check_header(header):
         if header is None or [c.strip().lower() for c in header] != ["date", "peak_players"]:
@@ -121,6 +123,8 @@ def load_series(path: str | Path) -> RawSeries:
                 raise ValueError(f"{path}:{lineno}: bad count {row[1]!r}") from exc
             if count < 0:
                 raise ValueError(f"{path}:{lineno}: negative count {count}")
+            if count > _I8_MAX:
+                raise ValueError(f"{path}:{lineno}: count {count} exceeds the int64 maximum")
             if dates:
                 if day == dates[-1]:
                     raise ValueError(f"{path}:{lineno}: duplicate date {day}")
@@ -208,7 +212,6 @@ class AlignedDataset:
     population: int
     start_date: dt.date
     smoothed: bool = False
-    start_at_update: bool = False
 
 
 def align(
@@ -218,7 +221,6 @@ def align(
     window: tuple[dt.date | None, dt.date | None] | None = None,
     *,
     smooth7: bool = False,
-    start_at_update: bool = False,
 ) -> AlignedDataset:
     """Window the series, map release dates to day offsets, normalize by N.
 
@@ -226,9 +228,7 @@ def align(
     Every release date must fall strictly inside the window: day 0 needs
     history before a release to estimate its jump, and a release on the last
     day has no interval after it.  Counts above the population scale are
-    rejected.  start_at_update is carried as metadata for windows whose first
-    day immediately follows a release (that release's jump itself is not in
-    the data, so it adds no parameter).
+    rejected.
     """
     if series.gaps:
         preview = ", ".join(str(d) for d in series.gaps[:5])
@@ -285,5 +285,4 @@ def align(
         population=population,
         start_date=lo,
         smoothed=smooth7,
-        start_at_update=start_at_update,
     )

@@ -84,7 +84,7 @@ def random_identifiable_scenarios(seed: int, count: int):
         except ValueError:
             continue  # a jump left the unit interval
         system = build_regression(traj, spec.schedule)
-        rep = check_identifiability(system, traj, spec.schedule)
+        rep = check_identifiability(system)
         if not rep.overall or rep.psi_rank != rep.required_rank:
             continue
         yield spec, system
@@ -205,7 +205,7 @@ def test_condition_check_matches_numeric_rank():
         ):
             kind = "short"
         traj = Trajectory(values=x, step_size=1.0)
-        rep = check_identifiability(build_regression(traj, sched), traj, sched)
+        rep = check_identifiability(build_regression(traj, sched))
         numeric_full = rep.psi_rank == rep.required_rank
         agreements += rep.overall == numeric_full
         kinds[kind] += 1
@@ -244,7 +244,7 @@ def test_two_sample_rank_law_exact():
                 values=np.array([i / (grid - 1), j / (grid - 1), 0.5]),
                 step_size=1.0,
             )
-            rep = check_identifiability(build_regression(traj, sched), traj, sched)
+            rep = check_identifiability(build_regression(traj, sched))
             solvable = det != 0
             if not (
                 rep.intervals[0].variation_ok == solvable

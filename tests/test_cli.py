@@ -1,11 +1,14 @@
 import datetime as dt
 import hashlib
 import json
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 
+import hybridsis
 from hybridsis import (
     HybridModelSpec,
     IntervalParams,
@@ -63,6 +66,24 @@ def test_simulate_dt_matches_library_and_writes_manifest(tmp_path, capsys):
     assert manifest["outputs"][str(out)] == sha256(out)
     assert manifest["numpy"] == np.__version__
     assert manifest["duration_s"] >= 0
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # no module imports scipy: the CLI runs with the import blocked
+    out = tmp_path / "traj.csv"
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from hybridsis.cli import main\n"
+        f"sys.exit(main(['simulate', '--scenario', {str(SCENARIO_PATH)!r}, "
+        f"'--mode', 'dt', '--out', {str(out)!r}]))\n"
+    )
+    src = str(Path(hybridsis.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert out.exists()
+    assert "scipy" not in json.loads((tmp_path / "traj.csv.manifest.json").read_text())
 
 
 def test_simulate_sde_manifest_replays_byte_identical(tmp_path, capsys):
@@ -265,7 +286,20 @@ def test_fit_end_to_end(tmp_path, capsys):
     assert d["rmse_counts"] < 5  # only count rounding separates data from model
     assert len(d["per_interval_rmse_counts"]) == 3
     assert d["fitted_scenario"] is not None
-    assert "holdout" not in d
+    assert "holdout" not in d and "start_at_update" not in d
+
+
+def test_fit_rejects_count_beyond_int64(tmp_path, capsys):
+    data, updates, _ = fit_fixture(tmp_path)
+    lines = data.read_text().splitlines()
+    lines[5] = lines[5].split(",")[0] + ",9223372036854775808"
+    data.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(data), "--updates", str(updates),
+        "--population", "1000000",
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {data}:6: count 9223372036854775808 exceeds the int64 maximum\n"
 
 
 def test_fit_window_and_smoothing(tmp_path, capsys):

@@ -20,6 +20,7 @@ from hybridsis import (
     simulate_dt,
 )
 from hybridsis.estimate import _STACK_ROWS, RANK_RTOL
+from hybridsis.model import theta_slice
 
 
 def test_regression_small_system_by_hand():
@@ -29,6 +30,8 @@ def test_regression_small_system_by_hand():
     x = np.array([0.20, 0.30, 0.35, 0.50, 0.45, 0.40])
     traj = Trajectory(values=x, step_size=0.5)
     system = build_regression(traj, sched)
+    # the system keeps the shares and schedule it was built from
+    assert system.x is traj.values and system.schedule is sched
 
     np.testing.assert_array_equal(system.y, np.diff(x))
     # compact layout: row k = [release entry, h (1 - x) x, -h x]
@@ -41,8 +44,8 @@ def test_regression_small_system_by_hand():
     expected[2, 0] = x[2]
     np.testing.assert_array_equal(system.psi, expected)
 
-    assert [(b.row_start, b.row_stop) for b in system.blocks] == [(0, 2), (2, 5)]
-    assert [(b.col_start, b.col_stop) for b in system.blocks] == [(0, 2), (2, 5)]
+    assert [system.block_rows(i) for i in range(2)] == [range(0, 2), range(2, 5)]
+    assert [theta_slice(i) for i in range(2)] == [slice(0, 2), slice(2, 5)]
     np.testing.assert_array_equal(system.block_matrix(0), expected[0:2, 1:3])
     np.testing.assert_array_equal(system.block_matrix(1), expected[2:5, 0:3])
     np.testing.assert_array_equal(system.block_rhs(0), system.y[0:2])
@@ -55,10 +58,10 @@ def test_regression_demo_shape(demo_scenario):
     system = build_regression(traj, spec.schedule)
     assert system.y.shape == (150,)
     assert system.psi.shape == (150, 3)
-    assert [(b.row_start, b.row_stop) for b in system.blocks] == [
-        (0, 29), (29, 89), (89, 150),
+    assert [system.block_rows(i) for i in range(3)] == [
+        range(0, 29), range(29, 89), range(89, 150),
     ]
-    assert [(b.col_start, b.col_stop) for b in system.blocks] == [(0, 2), (2, 5), (5, 8)]
+    assert [theta_slice(i) for i in range(3)] == [slice(0, 2), slice(2, 5), slice(5, 8)]
     # release rows hold the pre-release share in the release column only
     for row in (29, 89):
         assert system.psi[row, 0] == traj.values[row]
@@ -75,7 +78,8 @@ def test_regression_no_updates():
     system = build_regression(Trajectory(values=x, step_size=1.0), sched)
     assert system.psi.shape == (4, 3)
     assert not system.psi[:, 0].any()
-    assert len(system.blocks) == 1
+    assert system.schedule.n_intervals == 1
+    assert system.block_rows(0) == range(0, 4)
     assert system.block_matrix(0).shape == (4, 2)
 
 
@@ -85,7 +89,8 @@ def test_regression_is_compact_for_many_releases():
     traj = Trajectory(values=np.linspace(0.1, 0.5, 3011), step_size=0.1)
     system = build_regression(traj, sched)
     assert system.psi.shape == (3010, 3)
-    assert system.blocks[-1].col_stop == 2 + 3 * 300
+    assert theta_slice(300).stop == 2 + 3 * 300
+    assert system.block_rows(300) == range(2999, 3010)
     assert system.block_matrix(300).shape == (11, 3)
 
 
@@ -181,14 +186,15 @@ def test_shared_solve_matches_per_block_lstsq():
     traj = Trajectory(values=x, step_size=0.5)
     system = build_regression(traj, sched)
 
-    lengths = [b.row_stop - b.row_start for b in system.blocks]
+    blocks = range(sched.n_intervals)
+    lengths = [len(system.block_rows(i)) for i in blocks]
     assert lengths[0] == 0 and lengths[1] == 1 and max(lengths) > _STACK_ROWS
-    ref_theta = np.zeros(system.blocks[-1].col_stop)
+    ref_theta = np.zeros(theta_slice(sched.n_updates).stop)
     ref_ranks, ref_sq = [], 0.0
-    for i, b in enumerate(system.blocks):
+    for i in blocks:
         a, rhs = system.block_matrix(i), system.block_rhs(i)
         sol, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=RANK_RTOL)
-        ref_theta[b.col_start : b.col_stop] = sol
+        ref_theta[theta_slice(i)] = sol
         ref_ranks.append(int(rank))
         ref_sq += float((rhs - a @ sol) @ (rhs - a @ sol))
     assert ref_ranks[0] == 0 and ref_ranks[11] < 3 and ref_ranks[21] < 3
@@ -197,12 +203,12 @@ def test_shared_solve_matches_per_block_lstsq():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
         result = estimate(system)
     assert result.block_ranks == tuple(ref_ranks)
-    for b in system.blocks:
-        want = ref_theta[b.col_start : b.col_stop]
-        got = result.theta_hat[b.col_start : b.col_stop]
+    for i in blocks:
+        want = ref_theta[theta_slice(i)]
+        got = result.theta_hat[theta_slice(i)]
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
     assert result.residual_norm == pytest.approx(np.sqrt(ref_sq), rel=1e-12)
-    report = check_identifiability(system, traj, sched)
+    report = check_identifiability(system)
     assert [c.rank for c in report.intervals] == ref_ranks
 
 
@@ -230,12 +236,12 @@ def test_estimate_recovers_theta_property(seed, m, h, x0):
     except ValueError:
         assume(False)  # a release left [0, 1]
     system = build_regression(traj, sched)
-    report = check_identifiability(system, traj, sched)
+    report = check_identifiability(system)
     assume(report.overall and report.psi_rank == report.required_rank)
     theta = estimate(system).theta_hat
-    for b, c in zip(system.blocks, report.intervals):
-        want = spec.theta[b.col_start : b.col_stop]
-        err = np.abs(theta[b.col_start : b.col_stop] - want).max() / np.abs(want).max()
+    for i, c in enumerate(report.intervals):
+        want = spec.theta[theta_slice(i)]
+        err = np.abs(theta[theta_slice(i)] - want).max() / np.abs(want).max()
         assert err <= 1e-12 * c.condition
 
 
@@ -244,7 +250,7 @@ def test_identifiability_reports_conditioning():
     x = np.array([0.2, 0.3, 0.35, 0.4, 0.4, 0.4, 0.4, 0.4])  # interval 1 constant
     traj = Trajectory(values=x, step_size=1.0)
     system = build_regression(traj, sched)
-    report = check_identifiability(system, traj, sched)
+    report = check_identifiability(system)
     c0, c1 = report.intervals
     assert c0.condition == pytest.approx(np.linalg.cond(system.block_matrix(0)), rel=1e-12)
     assert np.isnan(c1.condition)  # rank deficient
@@ -256,7 +262,7 @@ def test_identifiability_demo_all_ok(demo_scenario):
     spec = demo_scenario.spec
     traj = simulate_dt(spec, demo_scenario.x0)
     system = build_regression(traj, spec.schedule)
-    report = check_identifiability(system, traj, spec.schedule)
+    report = check_identifiability(system)
     assert report.overall
     assert report.psi_rank == 8 == report.required_rank
     assert report.failed_intervals() == ()
@@ -272,7 +278,7 @@ def test_identifiability_zero_release_state():
     x = np.array([0.2, 0.3, 0.0, 0.5, 0.45, 0.4, 0.35])  # share hits 0 at step 2
     traj = Trajectory(values=x, step_size=1.0)
     system = build_regression(traj, sched)
-    report = check_identifiability(system, traj, sched)
+    report = check_identifiability(system)
     cond = report.intervals[1]
     assert not cond.jump_state_ok
     assert not report.overall
@@ -285,7 +291,7 @@ def test_identifiability_constant_segment():
     x = np.array([0.2, 0.3, 0.35, 0.4, 0.4, 0.4, 0.4, 0.4])
     traj = Trajectory(values=x, step_size=1.0)
     system = build_regression(traj, sched)
-    report = check_identifiability(system, traj, sched)
+    report = check_identifiability(system)
     cond = report.intervals[1]
     assert cond.length_ok and cond.jump_state_ok
     assert not cond.variation_ok
@@ -298,7 +304,7 @@ def test_identifiability_short_interval():
     x = np.linspace(0.2, 0.6, 10)
     traj = Trajectory(values=x, step_size=1.0)
     system = build_regression(traj, sched)
-    report = check_identifiability(system, traj, sched)
+    report = check_identifiability(system)
     assert not report.intervals[1].length_ok
     assert report.intervals[0].ok and report.intervals[2].ok
     assert report.psi_rank < report.required_rank
@@ -310,7 +316,7 @@ def test_identifiability_two_states_must_be_nonzero_and_distinct():
     def verdict(x0, x1):
         traj = Trajectory(values=np.array([x0, x1, 0.5]), step_size=1.0)
         system = build_regression(traj, sched)
-        return check_identifiability(system, traj, sched).intervals[0].variation_ok
+        return check_identifiability(system).intervals[0].variation_ok
 
     assert verdict(0.2, 0.4)
     assert not verdict(0.3, 0.3)

@@ -230,6 +230,28 @@ def test_realdata_study_holdout():
     assert report.to_dict()["holdout"]["forecast_rmse_counts"] is None
 
 
+@pytest.mark.parametrize("holdout", [20, 70])
+def test_realdata_study_holdout_is_the_fit_of_the_prefix(holdout):
+    # the holdout refit equals run_realdata_study on the prefix built by hand
+    dataset, _ = synthetic_dataset()
+    cut = dataset.schedule.final_step - holdout
+    prefix = dataclasses.replace(
+        dataset,
+        trajectory=Trajectory(
+            values=dataset.trajectory.values[: cut + 1], step_size=1.0,
+            population=dataset.population,
+        ),
+        schedule=UpdateSchedule(
+            tuple(t for t in dataset.schedule.update_steps if t < cut), cut, 1.0
+        ),
+    )
+    want = run_realdata_study(prefix)
+    hold = run_realdata_study(dataset, holdout=holdout).holdout
+    assert hold.ok == want.ok
+    assert hold.identifiability.to_dict() == want.identifiability.to_dict()
+    assert hold.estimation.theta_hat.tobytes() == want.estimation.theta_hat.tobytes()
+
+
 def test_realdata_study_holdout_drops_tail_releases():
     dataset, _ = synthetic_dataset()
     # cutting at step 50 discards the release at 70; the prefix keeps one

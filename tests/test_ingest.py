@@ -180,11 +180,9 @@ SERIES_CORPUS = {
         H + b"2024-03-01,9223372036854775807\n2024-03-02,0\n",
         (["2024-03-01", "2024-03-02"], [9223372036854775807, 0], []),
     ),
-    # recorded as the row loop reads it: the count wraps in the int64 cast
     "count_beyond_i8": (
         H + b"2024-03-01,9223372036854775808\n2024-03-02,20\n",
-        (["2024-03-01", "2024-03-02"], [-9223372036854775808, 20], [],
-         ["invalid value encountered in cast"]),
+        (ValueError, "{path}:2: count 9223372036854775808 exceeds the int64 maximum"),
     ),
     "separator_padding": (
         H + b"2024-03-01,10\x1c\n2024-03-02,20\n", (["2024-03-01", "2024-03-02"], [10, 20], [])
@@ -213,14 +211,13 @@ def test_load_series_diagnostics_corpus(tmp_path, name):
     path.write_bytes(data)
     got, caught = _series_outcome(load_series, path)
     if isinstance(expected[0], list):
-        dates, counts, gaps, *warned = expected
+        dates, counts, gaps = expected
         iso = [dt.date.fromisoformat(d) for d in dates]
         gap_days = [dt.date.fromisoformat(d) for d in gaps]
         assert got == (iso, counts, np.dtype(np.int64), gap_days)
-        assert caught == (warned[0] if warned else [])
     else:
         assert got == (expected[0], expected[1].replace("{path}", str(path)))
-        assert caught == []
+    assert caught == []
 
 
 def _reference_load_series(path):
@@ -246,6 +243,8 @@ def _reference_load_series(path):
                 raise ValueError(f"{path}:{lineno}: bad count {row[1]!r}") from exc
             if count < 0:
                 raise ValueError(f"{path}:{lineno}: negative count {count}")
+            if count > np.iinfo(np.int64).max:
+                raise ValueError(f"{path}:{lineno}: count {count} exceeds the int64 maximum")
             if dates:
                 if day == dates[-1]:
                     raise ValueError(f"{path}:{lineno}: duplicate date {day}")
@@ -438,14 +437,3 @@ def test_align_smooth7(tmp_path):
     plain = align(series, [update], population=1000)
     assert not plain.smoothed
     assert plain.trajectory.values[5] == counts[5] / 1000.0
-
-
-def test_align_start_at_update_is_metadata(tmp_path):
-    counts = [100, 120, 150, 200, 260, 300, 320]
-    series = make_series(tmp_path, counts)
-    update = START + dt.timedelta(days=3)
-    ds = align(series, [update], population=1000, start_at_update=True)
-    assert ds.start_at_update
-    same = align(series, [update], population=1000)
-    np.testing.assert_array_equal(ds.trajectory.values, same.trajectory.values)
-    assert ds.schedule == same.schedule

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hybridsis import (
     HybridModelSpec,
@@ -18,7 +20,7 @@ from hybridsis import (
     theta_pack,
     theta_unpack,
 )
-from hybridsis.model import scenario_from_dict, scenario_to_dict
+from hybridsis.model import scenario_from_dict, scenario_to_dict, theta_slice
 
 DEMO_SCHED = UpdateSchedule(update_steps=(30, 90), final_step=150, step_size=1.0)
 
@@ -88,6 +90,27 @@ def test_theta_pack_demo_layout():
         theta, [0.5, 0.2, 0.5, 0.19, 0.15, -0.3, 0.25, 0.15]
     )
     assert theta_unpack(theta) == intervals
+
+
+_RATE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(m=st.integers(0, 6), data=st.data())
+def test_theta_pack_unpack_roundtrip_property(m, data):
+    rates = data.draw(st.lists(_RATE, min_size=2 + 3 * m, max_size=2 + 3 * m))
+    intervals = (IntervalParams(beta=rates[0], gamma=rates[1]),) + tuple(
+        IntervalParams(alpha=rates[j], beta=rates[j + 1], gamma=rates[j + 2])
+        for j in range(2, len(rates), 3)
+    )
+    theta = theta_pack(intervals)
+    assert theta.shape == (2 + 3 * m,) and len(parameter_names(m)) == theta.size
+    assert theta_unpack(theta) == intervals
+    np.testing.assert_array_equal(theta_pack(theta_unpack(theta)), theta)
+    # theta_slice(i) holds interval i's fields in the order alpha, beta, gamma
+    for i, p in enumerate(intervals):
+        fields = [p.beta, p.gamma] if i == 0 else [p.alpha, p.beta, p.gamma]
+        assert theta[theta_slice(i)].tolist() == fields
+    assert theta_slice(m).stop == theta.size
 
 
 def test_theta_pack_structural_errors():
