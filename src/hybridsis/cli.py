@@ -36,7 +36,7 @@ from .estimate import (
 )
 from .experiments import load_plan, run_noise_study, run_realdata_study
 from .ingest import align, load_series, load_update_dates
-from .model import Trajectory, load_scenario, load_schedule
+from .model import load_scenario, load_schedule
 from .simulate import (
     SimulationConfig,
     read_trajectory_csv,
@@ -107,12 +107,7 @@ def _cmd_simulate(args, argv: list[str]) -> int:
         cfg = SimulationConfig(seed=args.seed, sigma=args.sigma, fine_substeps=args.substeps)
         traj = simulate_sde(spec, scenario.x0, cfg)
     if scenario.population is not None:
-        traj = Trajectory(
-            values=traj.values,
-            step_size=traj.step_size,
-            population=scenario.population,
-            clamp_count=traj.clamp_count,
-        )
+        traj = dataclasses.replace(traj, population=scenario.population)
     out = Path(args.out)
     write_trajectory_csv(traj, out)
     _write_manifest(
@@ -169,15 +164,8 @@ def _cmd_estimate(args, argv: list[str]) -> int:
 def _cmd_fit(args, argv: list[str]) -> int:
     series = load_series(args.data)
     updates = load_update_dates(args.updates)
-    window = None
-    if args.from_date is not None or args.to_date is not None:
-        window = (
-            dt.date.fromisoformat(args.from_date) if args.from_date else None,
-            dt.date.fromisoformat(args.to_date) if args.to_date else None,
-        )
-    dataset = align(
-        series, updates, args.population, window, smooth7=args.smooth7
-    )
+    window = (args.from_date, args.to_date)  # None for an open end
+    dataset = align(series, updates, args.population, window, smooth7=args.smooth7)
     report = run_realdata_study(dataset)
     _print_json(report.to_dict())
     if not report.ok:
@@ -261,8 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="CSV with header date,peak_players")
     p.add_argument("--updates", required=True, help="release dates (text or JSON array)")
     p.add_argument("--population", required=True, type=int, help="population scale N")
-    p.add_argument("--from", dest="from_date", help="window start date (ISO)")
-    p.add_argument("--to", dest="to_date", help="window end date (ISO)")
+    p.add_argument(
+        "--from", dest="from_date", type=dt.date.fromisoformat, help="window start date (ISO)"
+    )
+    p.add_argument(
+        "--to", dest="to_date", type=dt.date.fromisoformat, help="window end date (ISO)"
+    )
     p.add_argument("--smooth7", action="store_true", help="7-day centered pre-smoothing")
     p.set_defaults(func=_cmd_fit)
 

@@ -410,10 +410,6 @@ class ErrorMetrics:
     params: tuple[MetricEntry, ...]
     r0: tuple[MetricEntry, ...]
 
-    @property
-    def max_param_error(self) -> float:
-        return max(e.error for e in self.params)
-
     def to_dict(self) -> dict:
         return {
             "params": [e.to_dict() for e in self.params],
@@ -481,7 +477,5 @@ def forecast(
         final_step=horizon + 1,
         step_size=h,
     )
-    values, _ = _recurse(
-        window, spec.intervals[first : last + 1], x_start, on_jump_escape=None
-    )
+    values, _ = _recurse(window, spec.intervals[first : last + 1], x_start, check=False)
     return Trajectory(values=values[:-1], step_size=h)

@@ -44,7 +44,7 @@ from .model import (
     Scenario,
     Trajectory,
     UpdateSchedule,
-    _load_json_object,
+    _load_json,
     _r0_or_nan,
     parameter_names,
     scenario_from_dict,
@@ -169,18 +169,21 @@ def _grid(plan: ExperimentPlan):
 def load_plan(path: str | Path) -> ExperimentPlan:
     """Read a study plan JSON: a 'scenario' object plus optional overrides
     for regimes, h_values, sigma, trials, seed and fine_substeps."""
-    d = _load_json_object(path)
-    allowed = {"scenario", "regimes", "h_values", "sigma", "trials", "seed", "fine_substeps"}
-    extra = set(d) - allowed
-    if extra:
-        raise ValueError(f"{path}: unknown fields {sorted(extra)}")
-    if "scenario" not in d:
-        raise ValueError(f"{path}: missing field 'scenario'")
-    kwargs = {"scenario": scenario_from_dict(d["scenario"])}
-    for key in ("regimes", "h_values", "sigma", "trials", "seed", "fine_substeps"):
-        if key in d:
-            kwargs[key] = tuple(d[key]) if key in ("regimes", "h_values") else d[key]
-    return ExperimentPlan(**kwargs)
+
+    def build(d: dict) -> ExperimentPlan:
+        allowed = {"scenario", "regimes", "h_values", "sigma", "trials", "seed", "fine_substeps"}
+        extra = set(d) - allowed
+        if extra:
+            raise ValueError(f"{path}: unknown fields {sorted(extra)}")
+        if "scenario" not in d:
+            raise ValueError(f"{path}: missing field 'scenario'")
+        kwargs = {"scenario": scenario_from_dict(d["scenario"])}
+        for key in ("regimes", "h_values", "sigma", "trials", "seed", "fine_substeps"):
+            if key in d:
+                kwargs[key] = tuple(d[key]) if key in ("regimes", "h_values") else d[key]
+        return ExperimentPlan(**kwargs)
+
+    return _load_json(path, build)
 
 
 def _rel_errors(true: np.ndarray, hat: np.ndarray) -> np.ndarray:
@@ -210,9 +213,6 @@ class StudyCell:
     @property
     def n_intervals(self) -> int:
         return self.r0_true.size
-
-    def theta_matrix(self) -> np.ndarray:
-        return np.vstack(self.theta_hats)
 
     def r0_matrix(self) -> np.ndarray:
         """Per-trial reproduction numbers, one column per interval."""
@@ -497,7 +497,7 @@ def run_realdata_study(dataset: AlignedDataset, holdout: int | None = None) -> F
     result = estimate(system)
     # the sampled recursion on the raw estimates: least-squares values may
     # leave the generative ranges, and the recursion is still defined there
-    sim, _ = _recurse(sched, result.intervals_hat, traj.values[0], on_jump_escape=None)
+    sim, _ = _recurse(sched, result.intervals_hat, traj.values[0], check=False)
     diff = (sim - traj.values) * n
     owner = _interval_of_sample(sched, len(traj))
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged refit scores inf or nan
@@ -544,7 +544,7 @@ def run_realdata_study(dataset: AlignedDataset, holdout: int | None = None) -> F
                 UpdateSchedule((), holdout, sched.step_size),
                 prefix.estimation.intervals_hat[-1:],
                 traj.values[cut],
-                on_jump_escape=None,
+                check=False,
             )
             tail = traj.values[cut : sched.final_step + 1]
             fc_rmse = float(np.sqrt(np.mean(((fc_arr[1:] - tail[1:]) * n) ** 2)))

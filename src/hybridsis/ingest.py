@@ -141,14 +141,12 @@ def load_series(path: str | Path) -> RawSeries:
     return _read_csv(path, check_header, _SERIES_DTYPE, _parse_series, row_loop)
 
 
-def fill_gaps(series: RawSeries, method: str = "linear") -> RawSeries:
+def fill_gaps(series: RawSeries) -> RawSeries:
     """Fill missing days by linear interpolation between their neighbours.
 
     Returns a gap-free series on the full daily range.  Each filled gap is
     logged.  Counts are rounded back to integers.
     """
-    if method != "linear":
-        raise ValueError(f"unknown fill method {method!r}")
     if not series.gaps:
         return series
     first, last = series.dates[0], series.dates[-1]

@@ -232,12 +232,6 @@ class HybridModelSpec:
     def theta(self) -> np.ndarray:
         return theta_pack(self.intervals)
 
-    @classmethod
-    def from_theta(
-        cls, theta: Sequence[float] | np.ndarray, schedule: UpdateSchedule
-    ) -> "HybridModelSpec":
-        return cls(schedule=schedule, intervals=theta_unpack(theta))
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -283,29 +277,24 @@ class Trajectory:
     def n_steps(self) -> int:
         return int(self.values.size) - 1
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.values.size) * self.step_size
-
     def to_counts(self) -> np.ndarray:
         """Share values scaled to rounded user counts.  Requires population."""
         if self.population is None:
             raise ValueError("trajectory has no population scale")
         return np.rint(self.values * self.population).astype(np.int64)
 
-    def subsample(self, stride: int, step_size: float | None = None) -> "Trajectory":
-        """Every stride-th sample.  (len - 1) must be divisible by stride so
-        the final sample is kept.  step_size overrides the float product
-        stride * step_size when the caller knows the exact coarse step."""
+    def subsample(self, stride: int, step_size: float) -> "Trajectory":
+        """Every stride-th sample, on the coarse step step_size (exact, where
+        the float product stride * self.step_size may not be).  (len - 1)
+        must be divisible by stride so the final sample is kept."""
         stride = int(stride)
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
         if self.n_steps % stride != 0:
             raise ValueError(f"stride {stride} does not divide {self.n_steps} steps")
-        h = self.step_size * stride if step_size is None else float(step_size)
         return Trajectory(
             values=self.values[::stride],
-            step_size=h,
+            step_size=step_size,
             population=self.population,
             clamp_count=self.clamp_count,
         )
@@ -370,6 +359,17 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return d
 
 
+def _schedule_from_dict(d: dict, where: str | Path) -> UpdateSchedule:
+    for key in ("h", "update_steps", "final_step"):
+        if key not in d:
+            raise ValueError(f"{where}: missing field '{key}'")
+    return UpdateSchedule(
+        update_steps=tuple(d["update_steps"]),
+        final_step=d["final_step"],
+        step_size=d["h"],
+    )
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     allowed = {"h", "update_steps", "final_step", "intervals", "x0", "population"}
     extra = set(d) - allowed
@@ -378,11 +378,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     for key in ("h", "update_steps", "final_step", "intervals", "x0"):
         if key not in d:
             raise ValueError(f"scenario: missing field '{key}'")
-    schedule = UpdateSchedule(
-        update_steps=tuple(d["update_steps"]),
-        final_step=d["final_step"],
-        step_size=d["h"],
-    )
+    schedule = _schedule_from_dict(d, "scenario")
     raw = d["intervals"]
     if not isinstance(raw, list):
         raise ValueError("scenario: 'intervals' must be a list")
@@ -391,8 +387,10 @@ def scenario_from_dict(d: dict) -> Scenario:
     return Scenario(spec=spec, x0=d["x0"], population=d.get("population"))
 
 
-def _load_json_object(path: str | Path) -> dict:
-    """Parse a JSON file whose top level must be an object."""
+def _load_json(path: str | Path, build):
+    """build(d) from a JSON file whose top level must be an object d.  A
+    wrongly typed field (a number for a list, a null for a number) raises
+    TypeError inside build; it is re-raised as a ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             d = json.load(fh)
@@ -400,11 +398,14 @@ def _load_json_object(path: str | Path) -> dict:
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    return d
+    try:
+        return build(d)
+    except TypeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return scenario_from_dict(_load_json_object(path))
+    return _load_json(path, scenario_from_dict)
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
@@ -419,12 +420,4 @@ def load_schedule(path: str | Path) -> UpdateSchedule:
     Accepts any object carrying 'h', 'update_steps' and 'final_step';
     parameter fields, when present, are ignored here.
     """
-    d = _load_json_object(path)
-    for key in ("h", "update_steps", "final_step"):
-        if key not in d:
-            raise ValueError(f"{path}: missing field '{key}'")
-    return UpdateSchedule(
-        update_steps=tuple(d["update_steps"]),
-        final_step=d["final_step"],
-        step_size=d["h"],
-    )
+    return _load_json(path, lambda d: _schedule_from_dict(d, path))

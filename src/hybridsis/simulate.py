@@ -6,7 +6,11 @@ that lands on a release index T_i carries the jump and nothing else,
     x[T_i] = (1 + alpha_i) * x[T_i - 1],
 
 so the sampled output of every generator obeys the same release rule as the
-identification model.  Between releases:
+identification model.  The share is a fraction, so a release that maps it
+outside [0, 1] leaves the model, and every generator raises ValueError on
+one; only replays of raw estimates (forecast, the real-data refits) run the
+rule unchecked, since the recursion is defined outside [0, 1] too.  Between
+releases:
 
   simulate_dt   the sampled recursion x + h * (beta (1 - x) x - gamma x),
                 one step per sample.
@@ -75,9 +79,7 @@ class SimulationConfig:
             raise ValueError(f"fine_substeps must be >= 1, got {self.fine_substeps}")
 
 
-def _check_start(x0: float, on_jump_escape: str) -> float:
-    if on_jump_escape not in ("error", "clamp"):
-        raise ValueError(f"unknown jump escape policy {on_jump_escape!r}")
+def _check_start(x0: float) -> float:
     x0 = float(x0)
     if not 0.0 <= x0 <= 1.0:
         raise ValueError(f"x0 must lie in [0, 1], got {x0}")
@@ -96,31 +98,16 @@ def _warn_stability(spec: HybridModelSpec) -> None:
             )
 
 
-def _apply_jump(
-    x_pre: float, alpha: float, interval: int, on_escape: str | None, stacklevel: int
-) -> tuple[float, int]:
-    """Release rule with range policy.  Returns (new value, clamped flag).
-
-    on_escape=None applies the rule unpoliced, for raw estimates whose
-    recursion is well defined outside [0, 1]; else it is "error" or "clamp".
-    A clamp warns at `stacklevel`, which must name the caller of simulate_*.
-    """
+def _apply_jump(x_pre: float, alpha: float, interval: int, check: bool) -> float:
+    """The release rule (1 + alpha) * x_pre.  With check, a result outside
+    [0, 1] raises; raw estimates replay it unchecked."""
     x_new = (1.0 + alpha) * x_pre
-    if on_escape is None or 0.0 <= x_new <= 1.0:
-        return x_new, 0
-    if on_escape == "error":
+    if check and not 0.0 <= x_new <= 1.0:
         raise ValueError(
             f"release opening interval {interval} maps share {x_pre:.6g} to "
             f"{x_new:.6g}, outside [0, 1]"
         )
-    clamped = min(1.0, max(0.0, x_new))
-    warnings.warn(
-        f"release opening interval {interval} left [0, 1] "
-        f"({x_new:.6g}); clamped to {clamped:.6g}",
-        UserWarning,
-        stacklevel=stacklevel,
-    )
-    return clamped, 1
+    return x_new
 
 
 def _recurse(
@@ -131,12 +118,12 @@ def _recurse(
     substeps: int = 1,
     sigma: float = 0.0,
     noise: Sequence[float] | None = None,
-    on_jump_escape: str | None = "error",
+    check: bool = True,
 ) -> tuple[np.ndarray, int]:
     """The sampled recursion over a schedule; returns (values, clamps).
 
     A release sample applies the jump rule alone, through _apply_jump with
-    on_jump_escape (None: unpoliced).  Each interval's ordinary samples are
+    `check` (False for raw estimates).  Each interval's ordinary samples are
     one flat run of len(sis_index_range(i)) * substeps steps x <- x + dt *
     (beta (1 - x) x - gamma x), dt = h / substeps, at the interval's rates.
     With `noise`, the run consumes the interval's slice of draws in order:
@@ -159,9 +146,7 @@ def _recurse(
         yield from repeat(x, substeps)
         for i, p in enumerate(intervals):
             if i > 0:
-                # frames: _apply_jump, states, _recurse, simulate_*, its caller
-                x, c = _apply_jump(x, p.alpha, i, on_jump_escape, stacklevel=5)
-                clamps += c
+                x = _apply_jump(x, p.alpha, i, check)
                 yield from repeat(x, substeps)
             b, g = p.beta, p.gamma
             n = len(schedule.sis_index_range(i)) * substeps
@@ -198,19 +183,16 @@ def _logistic_flow(x0: float, beta: float, gamma: float, t: np.ndarray) -> np.nd
     return r * x0 / (r * np.exp(-r * t) - beta * x0 * np.expm1(-r * t))
 
 
-def simulate_dt(
-    spec: HybridModelSpec, x0: float, *, on_jump_escape: str = "error"
-) -> Trajectory:
+def simulate_dt(spec: HybridModelSpec, x0: float) -> Trajectory:
     """Run the sampled model exactly as the estimator assumes it.
 
     Ordinary steps apply x + h * (beta (1 - x) x - gamma x) with the active
     interval's rates; a step landing on a release index applies the jump rule
-    alone.  A release pushing the share outside [0, 1] raises by default;
-    on_jump_escape="clamp" clamps and warns instead.
+    alone.  A release pushing the share outside [0, 1] raises ValueError.
     """
-    x = _check_start(x0, on_jump_escape)
+    x = _check_start(x0)
     _warn_stability(spec)
-    xs, clamps = _recurse(spec.schedule, spec.intervals, x, on_jump_escape=on_jump_escape)
+    xs, clamps = _recurse(spec.schedule, spec.intervals, x)
     return Trajectory(values=xs, step_size=spec.schedule.step_size, clamp_count=clamps)
 
 
@@ -220,7 +202,6 @@ def simulate_ct(
     config: SimulationConfig | None = None,
     *,
     method: str = "exact",
-    on_jump_escape: str = "error",
 ) -> Trajectory:
     """The continuous SIS flow, sampled every step_size.
 
@@ -237,35 +218,30 @@ def simulate_ct(
     """
     if config is None:
         config = SimulationConfig()
-    x = _check_start(x0, on_jump_escape)
+    x = _check_start(x0)
     if method not in ("exact", "euler"):
         raise ValueError(f"unknown integration method {method!r}")
     sched = spec.schedule
     if method == "euler":
-        xs, clamps = _recurse(sched, spec.intervals, x, substeps=config.fine_substeps,
-                              on_jump_escape=on_jump_escape)
+        xs, clamps = _recurse(sched, spec.intervals, x, substeps=config.fine_substeps)
         return Trajectory(values=xs, step_size=sched.step_size, clamp_count=clamps)
     xs = np.empty(sched.n_samples, dtype=float)
     xs[0] = x
-    clamps = 0
     for i, p in enumerate(spec.intervals):
         if i > 0:
-            x, c = _apply_jump(x, p.alpha, i, on_jump_escape, stacklevel=3)
-            clamps += c
+            x = _apply_jump(x, p.alpha, i, check=True)
             xs[sched.jump_step(i)] = x
         ks = sched.sis_index_range(i)
         t = sched.step_size * np.arange(1, len(ks) + 1)
         xs[ks.start + 1 : ks.stop + 1] = _logistic_flow(x, p.beta, p.gamma, t)
         x = float(xs[ks.stop])
-    return Trajectory(values=xs, step_size=sched.step_size, clamp_count=clamps)
+    return Trajectory(values=xs, step_size=sched.step_size)
 
 
 def simulate_sde(
     spec: HybridModelSpec,
     x0: float,
     config: SimulationConfig | None = None,
-    *,
-    on_jump_escape: str = "error",
 ) -> Trajectory:
     """Euler-Maruyama path of the SIS flow with multiplicative demand noise.
 
@@ -280,16 +256,13 @@ def simulate_sde(
     """
     if config is None:
         config = SimulationConfig()
-    x = _check_start(x0, on_jump_escape)
+    x = _check_start(x0)
     sched = spec.schedule
     sub = config.fine_substeps
     rng = np.random.Generator(np.random.PCG64(config.seed))
     # one batch, consumed in simulation order; every step but a release flows
     noise = memoryview(rng.standard_normal((sched.final_step - sched.n_updates) * sub))
-    xs, clamps = _recurse(
-        sched, spec.intervals, x,
-        substeps=sub, sigma=config.sigma, noise=noise, on_jump_escape=on_jump_escape,
-    )
+    xs, clamps = _recurse(sched, spec.intervals, x, substeps=sub, sigma=config.sigma, noise=noise)
     return Trajectory(values=xs, step_size=sched.step_size, clamp_count=clamps)
 
 
@@ -317,9 +290,9 @@ def add_observation_noise(traj: Trajectory, sigma: float, seed: int) -> Trajecto
 _WRITE_CHUNK = 8192  # rows per fh.write: bounds the transient strings
 
 
-def _write_trajectory_rows(traj: Trajectory, fh, digits: int) -> None:
+def _write_trajectory_rows(traj: Trajectory, fh) -> None:
     counts = traj.to_counts() if traj.population is not None else None
-    head, row = "step,time,x", f"{{}},{{:.{digits}g}},{{:.{digits}g}}"
+    head, row = "step,time,x", "{},{:.17g},{:.17g}"
     if counts is not None:
         head, row = head + ",count", row + ",{}"
     fh.write(head + "\n")
@@ -334,18 +307,18 @@ def _write_trajectory_rows(traj: Trajectory, fh, digits: int) -> None:
         fh.write("".join(map(fmt, *cols)))
 
 
-def write_trajectory_csv(traj: Trajectory, path, *, digits: int = 17) -> None:
+def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write step,time,x rows, plus a count column when a population is set.
 
-    path may be a filesystem path or an open text stream.  The default 17
-    significant digits round-trip a double exactly.  Rows are formatted a
-    chunk at a time, with the bytes unchanged: "{k},{k*h:.17g},{x:.17g}".
+    path may be a filesystem path or an open text stream.  Every row is
+    "{k},{k*h:.17g},{x:.17g}": 17 significant digits round-trip a double
+    exactly.  Rows are formatted a chunk at a time.
     """
     if hasattr(path, "write"):
-        _write_trajectory_rows(traj, path, digits)
+        _write_trajectory_rows(traj, path)
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_trajectory_rows(traj, fh, digits)
+        _write_trajectory_rows(traj, fh)
 
 
 def _csv_may_differ(path) -> bool:

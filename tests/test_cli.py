@@ -7,6 +7,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hybridsis
 from hybridsis import (
@@ -442,3 +443,53 @@ def test_study_cli_overrides(tmp_path, capsys):
     assert summary["trials"] == 1
     assert summary["seed"] == 7
     assert json.loads((out_dir / "manifest.json").read_text())["seed"] == 7
+
+
+WRONGLY_TYPED = [
+    ("simulate", "update_steps", 5),
+    ("simulate", "intervals", [5, 6, 7]),
+    ("simulate", "x0", None),
+    ("forecast", "h", None),
+    ("identify", "update_steps", 5),
+    ("estimate", "final_step", [150]),
+    ("study", "h_values", 1),
+    ("study", "trials", None),
+]
+
+
+@pytest.mark.parametrize(
+    "command, field, value", WRONGLY_TYPED, ids=[f"{c}-{f}" for c, f, _ in WRONGLY_TYPED]
+)
+def test_wrongly_typed_json_field_exits_2_naming_the_file(tmp_path, capsys, command, field, value):
+    scenario = json.loads(SCENARIO_PATH.read_text())
+    if command == "study":
+        path = write_plan(tmp_path)
+        plan = json.loads(path.read_text())
+        plan[field] = value
+        path.write_text(json.dumps(plan))
+        argv = ["study", "--plan", str(path), "--out-dir", str(tmp_path / "out")]
+    else:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**scenario, field: value}))
+        traj = write_constant_traj(tmp_path / "t.csv", n_samples=151)
+        argv = {
+            "simulate": ["simulate", "--scenario", str(path), "--mode", "dt",
+                         "--out", str(tmp_path / "x.csv")],
+            "forecast": ["forecast", "--params", str(path), "--x0", "0.1", "--horizon", "5"],
+            "identify": ["identify", "--traj", str(traj), "--schedule", str(path)],
+            "estimate": ["estimate", "--traj", str(traj), "--schedule", str(path)],
+        }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+def test_fit_bad_window_date_names_the_flag(tmp_path, capsys, flag):
+    data, updates, _ = fit_fixture(tmp_path)
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(data), "--updates", str(updates),
+        "--population", "1000000", flag, "2024-13-01",
+    )
+    assert code == 2 and out == ""
+    assert f"argument {flag}: invalid fromisoformat value: '2024-13-01'" in err

@@ -103,7 +103,7 @@ def test_study_is_deterministic(demo_scenario):
     first = run_noise_study(plan)
     second = run_noise_study(plan)
     for a, b in zip(first.cells, second.cells):
-        assert np.array_equal(a.theta_matrix(), b.theta_matrix())
+        assert np.array_equal(np.vstack(a.theta_hats), np.vstack(b.theta_hats))
 
 
 def test_observation_noise_hurts(demo_scenario):

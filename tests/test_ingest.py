@@ -331,8 +331,6 @@ def test_fill_gaps_linear(tmp_path, caplog):
 
     # gap-free input comes back unchanged
     assert fill_gaps(filled) is filled
-    with pytest.raises(ValueError):
-        fill_gaps(series, method="spline")
 
 
 def test_load_update_dates_formats(tmp_path):

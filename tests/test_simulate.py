@@ -134,12 +134,7 @@ def test_release_escape_policies():
     )
     with pytest.raises(ValueError, match="outside"):
         simulate_dt(spec, 0.8)  # 1.9 * 0.8 = 1.52
-    with pytest.warns(UserWarning, match="clamped"):
-        traj = simulate_dt(spec, 0.8, on_jump_escape="clamp")
-    assert traj.values[1] == 1.0
-    assert traj.clamp_count == 1
-    with pytest.raises(ValueError, match="policy"):
-        simulate_dt(spec, 0.8, on_jump_escape="wat")
+    simulate_dt(spec, 0.5)  # 0.95 stays inside
 
 
 @pytest.mark.parametrize(
@@ -152,21 +147,15 @@ def test_release_escape_policies():
     ],
     ids=["dt", "ct_exact", "ct_euler", "sde"],
 )
-def test_release_clamp_warning_names_the_caller(generate):
+def test_release_escape_raises_in_every_generator(generate):
+    # the release on step 1 sees x0 itself, so noise cannot move the message
     spec = HybridModelSpec(
         UpdateSchedule((1,), 3, 1.0),
         (IntervalParams(beta=0.0, gamma=0.0), IntervalParams(alpha=0.9, beta=0.0, gamma=0.0)),
     )
-    with pytest.warns(UserWarning, match="clamped") as caught:
-        generate(spec, 0.8, on_jump_escape="clamp")
-    assert [w.filename for w in caught] == [__file__]
-
-
-@pytest.mark.parametrize("generate", [simulate_dt, simulate_ct, simulate_sde])
-def test_unknown_escape_policy_is_rejected_on_entry(generate, demo_scenario):
-    # no release of the demo leaves [0, 1], so only a check on entry sees it
-    with pytest.raises(ValueError, match=r"^unknown jump escape policy 'wat'$"):
-        generate(demo_scenario.spec, demo_scenario.x0, on_jump_escape="wat")
+    msg = r"^release opening interval 1 maps share 0\.8 to 1\.52, outside \[0, 1\]$"
+    with pytest.raises(ValueError, match=msg):
+        generate(spec, 0.8)
 
 
 def test_ct_exact_matches_logistic():
@@ -348,7 +337,7 @@ def _recursion_case(name, scenario, tmp_path):
             IntervalParams(alpha=2.0, beta=-3.0, gamma=-1.0),
             IntervalParams(alpha=-0.5, beta=-4.0, gamma=-2.0),
         )
-        values, clamps = hybridsis.simulate._recurse(sched, intervals, 0.05, on_jump_escape=None)
+        values, clamps = hybridsis.simulate._recurse(sched, intervals, 0.05, check=False)
         assert values[-1] == math.inf
         return hashlib.sha256(values.tobytes()).hexdigest(), clamps
     else:  # forecast-<start step>-<horizon>
@@ -476,38 +465,34 @@ def golden_trajectory(n, population=None):
     return Trajectory(values=values[:n], step_size=0.01, population=population)
 
 
-# pinned sha256 of the written bytes, recorded with a csv.writer row-by-row
-# writer; the prefix lengths straddle the 8192-row write chunk, and each case
-# also runs with a 3-row chunk
+# pinned sha256 of the written bytes (17 significant digits), recorded with a
+# csv.writer row-by-row writer; the prefix lengths straddle the 8192-row write
+# chunk, and each case also runs with a 3-row chunk
 WRITER_GOLDEN = [
-    (20_001, None, 17, "a7edf07caef39d8e1f1da18a6cb37f6c680054e7d92121be6fcaac07451e9114"),
-    (20_001, 1_000_003, 17, "05818cfb43b35a4af660645bd2f20afe4228ca05a0efd20db5f0e0d2d498db75"),
-    (20_001, None, 6, "0083fbe6ee1ad67c348230ac8e6010b18b9f2ef7db4b4be6d039c83d78835efb"),
-    (20_001, 1_000_003, 6, "17ab13cfe39d8edfce589697dd7ba7d5344dc7c1668f861473cf959b6b50c584"),
-    (2, 1_000_003, 17, "b8c14342af0b1c729bc829d34167d38639bca11ef9b567c33714e475f788247a"),
-    (8191, 1_000_003, 17, "a185775fa845bc26a32a1e3caac74578fdfeb3370a16b87187431785cf69781c"),
-    (8192, 1_000_003, 17, "4ebf74427d554c7e26584b0eeb3576ba92b86be272af868b677ce99f1414a79d"),
-    (8193, 1_000_003, 17, "f728738ec30503ef10d52a3bf64d290d2e4bfe8d95d73df015e0060d82876676"),
+    (20_001, None, "a7edf07caef39d8e1f1da18a6cb37f6c680054e7d92121be6fcaac07451e9114"),
+    (20_001, 1_000_003, "05818cfb43b35a4af660645bd2f20afe4228ca05a0efd20db5f0e0d2d498db75"),
+    (2, 1_000_003, "b8c14342af0b1c729bc829d34167d38639bca11ef9b567c33714e475f788247a"),
+    (8191, 1_000_003, "a185775fa845bc26a32a1e3caac74578fdfeb3370a16b87187431785cf69781c"),
+    (8192, 1_000_003, "4ebf74427d554c7e26584b0eeb3576ba92b86be272af868b677ce99f1414a79d"),
+    (8193, 1_000_003, "f728738ec30503ef10d52a3bf64d290d2e4bfe8d95d73df015e0060d82876676"),
 ]
 
 
 @pytest.mark.parametrize("chunk", [8192, 3])
 @pytest.mark.parametrize(
-    "n, population, digits, sha",
+    "n, population, sha",
     WRITER_GOLDEN,
-    ids=[f"n{n}-{'count' if p else 'bare'}-digits{d}" for n, p, d, _ in WRITER_GOLDEN],
+    ids=[f"n{n}-{'count' if p else 'bare'}-digits17" for n, p, _ in WRITER_GOLDEN],
 )
-def test_write_trajectory_csv_bytes_are_pinned(
-    tmp_path, monkeypatch, chunk, n, population, digits, sha
-):
+def test_write_trajectory_csv_bytes_are_pinned(tmp_path, monkeypatch, chunk, n, population, sha):
     assert hybridsis.simulate._WRITE_CHUNK == 8192
     monkeypatch.setattr(hybridsis.simulate, "_WRITE_CHUNK", chunk)
     traj = golden_trajectory(n, population)
     path = tmp_path / "g.csv"
-    write_trajectory_csv(traj, path, digits=digits)
+    write_trajectory_csv(traj, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
     buf = io.StringIO()
-    write_trajectory_csv(traj, buf, digits=digits)
+    write_trajectory_csv(traj, buf)
     assert buf.getvalue().encode() == path.read_bytes()
 
 
