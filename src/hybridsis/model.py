@@ -375,10 +375,10 @@ def scenario_from_dict(d: dict) -> Scenario:
     extra = set(d) - allowed
     if extra:
         raise ValueError(f"scenario: unknown fields {sorted(extra)}")
-    for key in ("h", "update_steps", "final_step", "intervals", "x0"):
+    schedule = _schedule_from_dict(d, "scenario")
+    for key in ("intervals", "x0"):
         if key not in d:
             raise ValueError(f"scenario: missing field '{key}'")
-    schedule = _schedule_from_dict(d, "scenario")
     raw = d["intervals"]
     if not isinstance(raw, list):
         raise ValueError("scenario: 'intervals' must be a list")

@@ -192,8 +192,8 @@ def simulate_dt(spec: HybridModelSpec, x0: float) -> Trajectory:
     """
     x = _check_start(x0)
     _warn_stability(spec)
-    xs, clamps = _recurse(spec.schedule, spec.intervals, x)
-    return Trajectory(values=xs, step_size=spec.schedule.step_size, clamp_count=clamps)
+    xs, _ = _recurse(spec.schedule, spec.intervals, x)
+    return Trajectory(values=xs, step_size=spec.schedule.step_size)
 
 
 def simulate_ct(
@@ -223,8 +223,8 @@ def simulate_ct(
         raise ValueError(f"unknown integration method {method!r}")
     sched = spec.schedule
     if method == "euler":
-        xs, clamps = _recurse(sched, spec.intervals, x, substeps=config.fine_substeps)
-        return Trajectory(values=xs, step_size=sched.step_size, clamp_count=clamps)
+        xs, _ = _recurse(sched, spec.intervals, x, substeps=config.fine_substeps)
+        return Trajectory(values=xs, step_size=sched.step_size)
     xs = np.empty(sched.n_samples, dtype=float)
     xs[0] = x
     for i, p in enumerate(spec.intervals):

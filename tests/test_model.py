@@ -202,9 +202,9 @@ def test_trajectory_counts_and_times():
 
 def test_trajectory_subsample():
     traj = Trajectory(values=np.linspace(0, 1, 11), step_size=0.5, population=100)
-    sub = traj.subsample(5, 2.5)
+    sub = traj.subsample(5, 2.0)  # the passed step wins over 5 * 0.5
     np.testing.assert_array_equal(sub.values, traj.values[::5])
-    assert sub.step_size == 2.5
+    assert sub.step_size == 2.0
     assert sub.population == 100
     with pytest.raises(ValueError):
         traj.subsample(3, 1.5)  # 10 steps, stride must divide
