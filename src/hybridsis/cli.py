@@ -91,12 +91,20 @@ def _print_json(d: dict) -> None:
     print(json.dumps(d, indent=2, allow_nan=False))
 
 
+def _recording_warnings(fn, *args):
+    """fn(*args) and the messages of the warnings it raised, which the JSON
+    output reports instead of stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [str(w.message) for w in caught]
+
+
 def _cmd_simulate(args, argv: list[str]) -> int:
     started = time.time()
-    if args.substeps != 1 and args.mode != "sde":
-        raise ValueError(
-            f"--substeps applies to --mode sde only, not to --mode {args.mode}"
-        )
+    for flag, value, default in (("--substeps", args.substeps, 1), ("--sigma", args.sigma, 0.0)):
+        if value != default and args.mode != "sde":
+            raise ValueError(f"{flag} applies to --mode sde only, not to --mode {args.mode}")
     scenario = load_scenario(args.scenario)
     spec = scenario.spec
     if args.mode == "dt":
@@ -146,15 +154,12 @@ def _cmd_estimate(args, argv: list[str]) -> int:
         _print_json({"identifiability": report.to_dict()})
         return EXIT_NOT_IDENTIFIABLE
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = estimate(system)
+    result, notes = _recording_warnings(estimate, system)
     out = result.to_dict()
     out["identifiability"] = report.to_dict()
     if args.truth is not None:
         truth = load_scenario(args.truth)
         out["errors"] = error_metrics(result, truth.spec).to_dict()
-    notes = [str(w.message) for w in caught]
     if notes:
         out["warnings"] = notes
     _print_json(out)
@@ -166,8 +171,11 @@ def _cmd_fit(args, argv: list[str]) -> int:
     updates = load_update_dates(args.updates)
     window = (args.from_date, args.to_date)  # None for an open end
     dataset = align(series, updates, args.population, window, smooth7=args.smooth7)
-    report = run_realdata_study(dataset)
-    _print_json(report.to_dict())
+    report, notes = _recording_warnings(run_realdata_study, dataset)
+    out = report.to_dict()
+    if notes:
+        out["warnings"] = notes
+    _print_json(out)
     if not report.ok:
         print(
             "error: parameters are not uniquely identifiable from this window "

@@ -174,24 +174,28 @@ def load_plan(path: str | Path) -> ExperimentPlan:
         allowed = {"scenario", "regimes", "h_values", "sigma", "trials", "seed", "fine_substeps"}
         extra = set(d) - allowed
         if extra:
-            raise ValueError(f"{path}: unknown fields {sorted(extra)}")
+            raise ValueError(f"unknown fields {sorted(extra)}")
         if "scenario" not in d:
-            raise ValueError(f"{path}: missing field 'scenario'")
-        kwargs = {"scenario": scenario_from_dict(d["scenario"])}
-        for key in ("regimes", "h_values", "sigma", "trials", "seed", "fine_substeps"):
-            if key in d:
-                kwargs[key] = tuple(d[key]) if key in ("regimes", "h_values") else d[key]
-        return ExperimentPlan(**kwargs)
+            raise ValueError("missing field 'scenario'")
+        overrides = {k: v for k, v in d.items() if k != "scenario"}
+        return ExperimentPlan(scenario=scenario_from_dict(d["scenario"]), **overrides)
 
     return _load_json(path, build)
 
 
-def _rel_errors(true: np.ndarray, hat: np.ndarray) -> np.ndarray:
-    """Relative error entrywise, absolute where the true value is zero."""
-    out = np.abs(hat - true)
-    nz = true != 0.0
-    out[nz] = out[nz] / np.abs(true[nz])
-    return out
+def _rel_errors(true: np.ndarray, hats: np.ndarray) -> np.ndarray:
+    """Relative error of every row of hats (trials x k) against true (k,),
+    absolute where the true value is zero."""
+    err = np.abs(hats - true)
+    return np.divide(err, np.abs(true), out=err, where=true != 0.0)
+
+
+def _median_max(errs: np.ndarray, labels) -> dict:
+    """Per-column median and max of a trials x k error matrix."""
+    return {
+        label: {"median": float(med), "max": float(mx)}
+        for label, med, mx in zip(labels, np.median(errs, axis=0), errs.max(axis=0))
+    }
 
 
 @dataclass
@@ -219,11 +223,10 @@ class StudyCell:
         return np.array([[_r0_or_nan(p) for p in theta_unpack(t)] for t in self.theta_hats])
 
     def param_rel_errors(self) -> np.ndarray:
-        return np.vstack([_rel_errors(self.theta_true, t) for t in self.theta_hats])
+        return _rel_errors(self.theta_true, np.array(self.theta_hats))
 
     def r0_rel_errors(self) -> np.ndarray:
-        r0s = self.r0_matrix()
-        return np.vstack([_rel_errors(self.r0_true, row) for row in r0s])
+        return _rel_errors(self.r0_true, self.r0_matrix())
 
 
 @dataclass
@@ -243,8 +246,7 @@ class NoiseStudyResult:
         for c in self.cells:
             if c.failed:
                 continue
-            for trial, hat in enumerate(c.theta_hats):
-                errs = _rel_errors(c.theta_true, hat)
+            for trial, (hat, errs) in enumerate(zip(c.theta_hats, c.param_rel_errors())):
                 for name, t, e, r in zip(names, c.theta_true, hat, errs):
                     yield (c.regime, c.h, trial, name, float(t), float(e), float(r))
 
@@ -254,10 +256,9 @@ class NoiseStudyResult:
             if c.failed:
                 continue
             r0s = c.r0_matrix()
-            for row in r0s:
-                errs = _rel_errors(c.r0_true, row)
-                for i in range(c.n_intervals):
-                    yield (c.regime, c.h, i, float(c.r0_true[i]), float(row[i]), float(errs[i]))
+            for row, errs in zip(r0s, _rel_errors(c.r0_true, r0s)):
+                for i, (t, e, r) in enumerate(zip(c.r0_true, row, errs)):
+                    yield (c.regime, c.h, i, float(t), float(e), float(r))
 
     def summary(self) -> dict:
         names = parameter_names(self.plan.scenario.spec.schedule.n_updates)
@@ -273,28 +274,16 @@ class NoiseStudyResult:
                     }
                 )
                 continue
-            perr = c.param_rel_errors()
-            r0err = c.r0_rel_errors()
             cells.append(
                 {
                     "regime": c.regime,
                     "h": c.h,
                     "failed": False,
                     "trials": c.n_trials,
-                    "param_rel_error": {
-                        name: {
-                            "median": float(np.median(perr[:, j])),
-                            "max": float(np.max(perr[:, j])),
-                        }
-                        for j, name in enumerate(names)
-                    },
-                    "r0_rel_error": {
-                        f"interval_{i}": {
-                            "median": float(np.median(r0err[:, i])),
-                            "max": float(np.max(r0err[:, i])),
-                        }
-                        for i in range(c.n_intervals)
-                    },
+                    "param_rel_error": _median_max(c.param_rel_errors(), names),
+                    "r0_rel_error": _median_max(
+                        c.r0_rel_errors(), (f"interval_{i}" for i in range(c.n_intervals))
+                    ),
                 }
             )
         return {
@@ -311,23 +300,21 @@ class NoiseStudyResult:
         """Write params.csv, r0.csv and summary.json; returns the paths."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        tables = (
+            ("params.csv", ("regime", "h", "trial", "param", "true", "estimate", "rel_error"),
+             self.param_rows()),
+            ("r0.csv", ("regime", "h", "interval", "r0_true", "r0_est", "rel_error"),
+             self.r0_rows()),
+        )
         paths = []
-
-        p = out / "params.csv"
-        with open(p, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["regime", "h", "trial", "param", "true", "estimate", "rel_error"])
-            for regime, h, trial, name, t, e, r in self.param_rows():
-                w.writerow([regime, _g17(h), trial, name, _g17(t), _g17(e), _g17(r)])
-        paths.append(p)
-
-        p = out / "r0.csv"
-        with open(p, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["regime", "h", "interval", "r0_true", "r0_est", "rel_error"])
-            for regime, h, i, t, e, r in self.r0_rows():
-                w.writerow([regime, _g17(h), i, _g17(t), _g17(e), _g17(r)])
-        paths.append(p)
+        for name, header, rows in tables:
+            p = out / name
+            with open(p, "w", encoding="utf-8", newline="") as fh:
+                w = csv.writer(fh, lineterminator="\n")
+                w.writerow(header)
+                for row in rows:
+                    w.writerow([_g17(v) if isinstance(v, float) else v for v in row])
+            paths.append(p)
 
         p = out / "summary.json"
         with open(p, "w", encoding="utf-8") as fh:
@@ -369,39 +356,27 @@ def run_noise_study(plan: ExperimentPlan) -> NoiseStudyResult:
 
     cells: list[StudyCell] = []
     for regime in plan.regimes:
-        n_trials = 1 if regime == "noiseless" else plan.trials
-        regime_cells = {
-            h: StudyCell(regime=regime, h=h, theta_true=theta_true, r0_true=r0_true)
+        regime_cells = [
+            StudyCell(regime=regime, h=h, theta_true=theta_true, r0_true=r0_true)
             for h in plan.h_values
-        }
-        if regime == "process":
-            # one stochastic path per trial, shared across all step sizes
-            for trial in range(n_trials):
+        ]
+        for trial in range(1 if regime == "noiseless" else plan.trials):
+            master = clean_master
+            if regime == "process":  # one stochastic path per trial, shared by every h
                 cfg = SimulationConfig(
                     seed=derive_seed(plan.seed, "process", trial),
                     sigma=plan.sigma,
                     fine_substeps=1,
                 )
                 master = simulate_sde(master_spec, x0, cfg)
-                for h in plan.h_values:
-                    sched_h, stride = per_h[h]
-                    _run_cell_trial(regime_cells[h], master.subsample(stride, h), sched_h)
-        else:
-            assert clean_master is not None
-            for h in plan.h_values:
-                sched_h, stride = per_h[h]
-                base = clean_master.subsample(stride, h)
-                for trial in range(n_trials):
-                    if regime == "observation":
-                        traj = add_observation_noise(
-                            base,
-                            plan.sigma,
-                            derive_seed(plan.seed, "observation", _g17(h), trial),
-                        )
-                    else:
-                        traj = base
-                    _run_cell_trial(regime_cells[h], traj, sched_h)
-        cells.extend(regime_cells[h] for h in plan.h_values)
+            for cell in regime_cells:
+                sched_h, stride = per_h[cell.h]
+                traj = master.subsample(stride, cell.h)
+                if regime == "observation":
+                    seed = derive_seed(plan.seed, "observation", _g17(cell.h), trial)
+                    traj = add_observation_noise(traj, plan.sigma, seed)
+                _run_cell_trial(cell, traj, sched_h)
+        cells.extend(regime_cells)
     return NoiseStudyResult(plan=plan, cells=cells)
 
 

@@ -329,20 +329,22 @@ def _interval_to_dict(p: IntervalParams) -> dict:
 
 
 def _interval_from_dict(d: dict, index: int) -> IntervalParams:
-    allowed = {"alpha", "beta", "gamma"}
-    extra = set(d) - allowed
+    extra = set(d) - {"alpha", "beta", "gamma"}
     if extra:
         raise ValueError(f"interval {index}: unknown fields {sorted(extra)}")
-    for key in ("beta", "gamma"):
+    if index == 0 and "alpha" in d:
+        raise ValueError("interval 0 must not carry 'alpha'")
+    values = {}
+    for key in ("beta", "gamma") if index == 0 else ("beta", "gamma", "alpha"):
         if key not in d:
             raise ValueError(f"interval {index}: missing field '{key}'")
-    if index == 0:
-        if "alpha" in d:
-            raise ValueError("interval 0 must not carry 'alpha'")
-        return IntervalParams(beta=d["beta"], gamma=d["gamma"])
-    if "alpha" not in d:
-        raise ValueError(f"interval {index}: missing field 'alpha'")
-    return IntervalParams(alpha=d["alpha"], beta=d["beta"], gamma=d["gamma"])
+        try:
+            values[key] = float(d[key])
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"interval {index}: field '{key}' must be a number, got {d[key]!r}"
+            ) from None
+    return IntervalParams(**values)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -359,10 +361,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return d
 
 
-def _schedule_from_dict(d: dict, where: str | Path) -> UpdateSchedule:
+def _schedule_from_dict(d: dict) -> UpdateSchedule:
     for key in ("h", "update_steps", "final_step"):
         if key not in d:
-            raise ValueError(f"{where}: missing field '{key}'")
+            raise ValueError(f"missing field '{key}'")
     return UpdateSchedule(
         update_steps=tuple(d["update_steps"]),
         final_step=d["final_step"],
@@ -374,23 +376,23 @@ def scenario_from_dict(d: dict) -> Scenario:
     allowed = {"h", "update_steps", "final_step", "intervals", "x0", "population"}
     extra = set(d) - allowed
     if extra:
-        raise ValueError(f"scenario: unknown fields {sorted(extra)}")
-    schedule = _schedule_from_dict(d, "scenario")
+        raise ValueError(f"unknown fields {sorted(extra)}")
+    schedule = _schedule_from_dict(d)
     for key in ("intervals", "x0"):
         if key not in d:
-            raise ValueError(f"scenario: missing field '{key}'")
+            raise ValueError(f"missing field '{key}'")
     raw = d["intervals"]
     if not isinstance(raw, list):
-        raise ValueError("scenario: 'intervals' must be a list")
+        raise ValueError("'intervals' must be a list")
     intervals = tuple(_interval_from_dict(entry, i) for i, entry in enumerate(raw))
     spec = HybridModelSpec(schedule=schedule, intervals=intervals)
     return Scenario(spec=spec, x0=d["x0"], population=d.get("population"))
 
 
 def _load_json(path: str | Path, build):
-    """build(d) from a JSON file whose top level must be an object d.  A
-    wrongly typed field (a number for a list, a null for a number) raises
-    TypeError inside build; it is re-raised as a ValueError naming the file."""
+    """build(d) from a JSON file whose top level must be an object d.  Every
+    ValueError or TypeError build raises (a missing field, a number for a
+    list, a string for a number) is re-raised as a ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             d = json.load(fh)
@@ -400,7 +402,7 @@ def _load_json(path: str | Path, build):
         raise ValueError(f"{path}: expected a JSON object")
     try:
         return build(d)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -420,4 +422,4 @@ def load_schedule(path: str | Path) -> UpdateSchedule:
     Accepts any object carrying 'h', 'update_steps' and 'final_step';
     parameter fields, when present, are ignored here.
     """
-    return _load_json(path, lambda d: _schedule_from_dict(d, path))
+    return _load_json(path, _schedule_from_dict)

@@ -221,6 +221,18 @@ def test_simulate_substeps_is_for_sde_only(tmp_path, capsys):
     assert code == 0 and out.exists()
 
 
+@pytest.mark.parametrize("mode", ["dt", "ct"])
+def test_simulate_sigma_is_for_sde_only(tmp_path, capsys, mode):
+    out = tmp_path / "traj.csv"
+    code, _, err = run_cli(
+        capsys, "simulate", "--scenario", str(SCENARIO_PATH), "--mode", mode,
+        "--sigma", "0.5", "--out", str(out),
+    )
+    assert code == 2
+    assert err == f"error: --sigma applies to --mode sde only, not to --mode {mode}\n"
+    assert not out.exists()
+
+
 def test_usage_and_missing_file_errors(tmp_path, capsys):
     assert run_cli(capsys, "simulate", "--scenario", "/does/not/exist.json",
                    "--mode", "dt", "--out", str(tmp_path / "x.csv"))[0] == 2
@@ -375,8 +387,32 @@ def test_fit_prints_strict_json_when_the_refit_overflows(tmp_path, capsys):
     assert [str(w.message) for w in caught] == []
     d = json.loads(out, parse_constant=_reject_constant)
     assert d["ok"] is True
+    assert "warnings" not in d
     assert d["rmse_counts"] is None
     assert None in d["per_interval_rmse_counts"]
+
+
+def test_fit_reports_a_rank_deficient_block_in_its_json(tmp_path, capsys):
+    # shares 0.5 and 0.5 + 1e-11 in turn pass the identifiability conditions,
+    # but interval 0's block is numerically rank 1
+    start = dt.date(2024, 1, 1)
+    counts = [500_000_000_000 + 10 * (i % 2) for i in range(30)]
+    counts += [600_000_000_000 + 7_000_000_000 * i for i in range(10)]
+    data = tmp_path / "players.csv"
+    rows = ["date,peak_players"] + [
+        f"{start + dt.timedelta(days=i)},{c}" for i, c in enumerate(counts)
+    ]
+    data.write_text("\n".join(rows) + "\n")
+    updates = tmp_path / "updates.txt"
+    updates.write_text(f"{start + dt.timedelta(days=30)}\n")
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(data), "--updates", str(updates),
+        "--population", "1000000000000",
+    )
+    assert code == 0 and err == ""
+    d = json.loads(out)
+    assert d["ok"] is True and d["estimation"]["unique"] is False
+    assert len(d["warnings"]) == 1 and d["warnings"][0].startswith("interval 0:")
 
 
 def test_fit_degenerate_data_exits_3(tmp_path, capsys):
@@ -445,23 +481,34 @@ def test_study_cli_overrides(tmp_path, capsys):
     assert json.loads((out_dir / "manifest.json").read_text())["seed"] == 7
 
 
+_SCENARIO = json.loads(SCENARIO_PATH.read_text())
+_NO_X0 = {k: v for k, v in _SCENARIO.items() if k != "x0"}
+_TEXT_BETA = [_SCENARIO["intervals"][0], {"alpha": 0.5, "beta": "abc", "gamma": 0.15},
+              _SCENARIO["intervals"][2]]
+
+# (command, field, value, text the message must hold after the file name)
 WRONGLY_TYPED = [
-    ("simulate", "update_steps", 5),
-    ("simulate", "intervals", [5, 6, 7]),
-    ("simulate", "x0", None),
-    ("forecast", "h", None),
-    ("identify", "update_steps", 5),
-    ("estimate", "final_step", [150]),
-    ("study", "h_values", 1),
-    ("study", "trials", None),
+    ("simulate", "update_steps", 5, ""),
+    ("simulate", "intervals", [5, 6, 7], ""),
+    ("simulate", "x0", None, ""),
+    ("forecast", "h", None, ""),
+    ("identify", "update_steps", 5, ""),
+    ("estimate", "final_step", [150], ""),
+    ("study", "h_values", 1, ""),
+    ("study", "trials", None, ""),
+    ("forecast", "intervals", _TEXT_BETA, "interval 1: field 'beta' must be a number, got 'abc'"),
+    ("estimate", "update_steps", [90, 30], "update steps must be strictly increasing"),
+    ("study", "scenario", _NO_X0, "missing field 'x0'"),
 ]
 
 
 @pytest.mark.parametrize(
-    "command, field, value", WRONGLY_TYPED, ids=[f"{c}-{f}" for c, f, _ in WRONGLY_TYPED]
+    "command, field, value, message", WRONGLY_TYPED,
+    ids=[f"{c}-{f}" for c, f, _, _ in WRONGLY_TYPED],
 )
-def test_wrongly_typed_json_field_exits_2_naming_the_file(tmp_path, capsys, command, field, value):
-    scenario = json.loads(SCENARIO_PATH.read_text())
+def test_wrongly_typed_json_field_exits_2_naming_the_file(
+    tmp_path, capsys, command, field, value, message
+):
     if command == "study":
         path = write_plan(tmp_path)
         plan = json.loads(path.read_text())
@@ -470,7 +517,7 @@ def test_wrongly_typed_json_field_exits_2_naming_the_file(tmp_path, capsys, comm
         argv = ["study", "--plan", str(path), "--out-dir", str(tmp_path / "out")]
     else:
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({**scenario, field: value}))
+        path.write_text(json.dumps({**_SCENARIO, field: value}))
         traj = write_constant_traj(tmp_path / "t.csv", n_samples=151)
         argv = {
             "simulate": ["simulate", "--scenario", str(path), "--mode", "dt",
@@ -481,7 +528,8 @@ def test_wrongly_typed_json_field_exits_2_naming_the_file(tmp_path, capsys, comm
         }[command]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {path}: ")
+    assert err.startswith(f"error: {path}: {message}")
+    assert err.count(str(path)) == 1
 
 
 @pytest.mark.parametrize("flag", ["--from", "--to"])

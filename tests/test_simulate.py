@@ -296,10 +296,9 @@ def test_sde_zero_is_absorbing_and_counted():
     assert np.all(v[first_zero:] == 0.0)
 
 
-def _study_digests(tmp_path):
+def _study_digests(tmp_path, plan_fields):
     plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps({"scenario": json.loads(SCENARIO_PATH.read_text()),
-                                "trials": 4, "seed": 99}))
+    plan.write_text(json.dumps(plan_fields))
     out = tmp_path / "study"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["study", "--plan", str(plan), "--out-dir", str(out)]) == 0
@@ -309,10 +308,18 @@ def _study_digests(tmp_path):
 
 def _recursion_case(name, scenario, tmp_path):
     """(sha256 of values.tobytes(), clamp count) of one pinned kernel call; for
-    the study, the sha256 of its three result tables."""
+    a study, the sha256 of its three result tables."""
     spec, x0 = scenario.spec, scenario.x0
     if name == "study_4_trials":
-        return _study_digests(tmp_path)
+        scenario = json.loads(SCENARIO_PATH.read_text())
+        return _study_digests(tmp_path, {"scenario": scenario, "trials": 4, "seed": 99})
+    if name == "study_failed_cells":
+        # starting at interval 0's endemic equilibrium fails both noiseless cells
+        scenario = {**json.loads(SCENARIO_PATH.read_text()), "x0": 0.6}
+        return _study_digests(tmp_path, {
+            "scenario": scenario, "regimes": ["noiseless", "observation", "process"],
+            "h_values": [1.0, 0.5], "fine_substeps": 2, "trials": 3,
+        })
     kind, *arg = name.split("-")
     if kind == "dt":
         traj = simulate_dt(spec, x0)
@@ -347,8 +354,8 @@ def _recursion_case(name, scenario, tmp_path):
 
 # sha256 of the output values and the clamp count of each kernel caller,
 # recorded with the nested samples x sub-steps loop that the flat per-interval
-# run replaced, which must reproduce them bit for bit; the study entry pins
-# its params.csv, r0.csv and summary.json instead
+# run replaced, which must reproduce them bit for bit; the study entries pin
+# their params.csv, r0.csv and summary.json instead
 RECURSION_GOLDEN = {
     "dt": ("c02be2301863c31caa4ca0810cdccabddbcf02869d9407449b1875028eff8cd0", 0),
     "ct_euler-1": ("c02be2301863c31caa4ca0810cdccabddbcf02869d9407449b1875028eff8cd0", 0),
@@ -376,6 +383,11 @@ RECURSION_GOLDEN = {
         "a700f4f5ab5d3f32752441045269c77b7b75bcb5742ed11bc73667ef96771595",
         "a4f4daf306ae3c05c9124dd9af5ea321645e38382b6d60507b92d587d6c8db06",
         "a9e4b3e473a7d9ca016d225cb976e3b370567f5260efabc44338a8875f72c768",
+    ],
+    "study_failed_cells": [
+        "75bf3adc50b270d488622f20902845f4c724b08f1cac71cc07034a981c43484a",
+        "0f3a6deb24eb9a99b00bdfab20aecdc7a81680fdd9f34f36011736e3170e37ec",
+        "244bd5fa079bf7844b118849439785e92b97afd684205cee44ca9c7af7fdce9d",
     ],
 }
 
