@@ -102,9 +102,12 @@ def _recording_warnings(fn, *args):
 
 def _cmd_simulate(args, argv: list[str]) -> int:
     started = time.time()
-    for flag, value, default in (("--substeps", args.substeps, 1), ("--sigma", args.sigma, 0.0)):
+    for flag, value, default in (
+        ("--substeps", args.substeps, 1), ("--sigma", args.sigma, 0.0), ("--seed", args.seed, None)
+    ):
         if value != default and args.mode != "sde":
             raise ValueError(f"{flag} applies to --mode sde only, not to --mode {args.mode}")
+    seed = (args.seed or 0) if args.mode == "sde" else None
     scenario = load_scenario(args.scenario)
     spec = scenario.spec
     if args.mode == "dt":
@@ -112,7 +115,7 @@ def _cmd_simulate(args, argv: list[str]) -> int:
     elif args.mode == "ct":
         traj = simulate_ct(spec, scenario.x0)
     else:
-        cfg = SimulationConfig(seed=args.seed, sigma=args.sigma, fine_substeps=args.substeps)
+        cfg = SimulationConfig(seed=seed, sigma=args.sigma, fine_substeps=args.substeps)
         traj = simulate_sde(spec, scenario.x0, cfg)
     if scenario.population is not None:
         traj = dataclasses.replace(traj, population=scenario.population)
@@ -124,7 +127,7 @@ def _cmd_simulate(args, argv: list[str]) -> int:
         argv,
         inputs=[Path(args.scenario)],
         outputs=[out],
-        seed=args.seed if args.mode == "sde" else None,
+        seed=seed,
         started=started,
     )
     return EXIT_OK
@@ -233,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--substeps", type=int, default=1, help="Euler-Maruyama sub-steps per sample (sde)"
     )
     p.add_argument("--sigma", type=float, default=0.0, help="demand noise scale (sde)")
-    p.add_argument("--seed", type=int, default=0, help="noise seed (sde)")
+    p.add_argument("--seed", type=int, help="noise seed (sde, default 0)")
     p.add_argument("--out", required=True, help="output trajectory CSV path")
     p.set_defaults(func=_cmd_simulate)
 

@@ -54,8 +54,8 @@ from .model import (
     Trajectory,
     UpdateSchedule,
     _interval_to_dict,
-    _r0_or_nan,
     parameter_names,
+    reproduction_number,
     theta_slice,
     theta_unpack,
 )
@@ -371,7 +371,7 @@ def estimate(system: RegressionSystem) -> EstimationResult:
     return EstimationResult(
         theta_hat=theta,
         intervals_hat=intervals,
-        r0_hat=tuple(_r0_or_nan(p) for p in intervals),
+        r0_hat=tuple(reproduction_number(p) for p in intervals),
         residual_norm=float(np.sqrt(sol.residuals_sq.sum())),
         block_ranks=tuple(sol.ranks.tolist()),
         unique=unique,
@@ -430,7 +430,7 @@ def error_metrics(result: EstimationResult, truth: HybridModelSpec) -> ErrorMetr
         for n, t, e in zip(names, theta_true, result.theta_hat)
     )
     r0 = tuple(
-        _entry(f"r0_{i}", _r0_or_nan(p), float(result.r0_hat[i]))
+        _entry(f"r0_{i}", reproduction_number(p), float(result.r0_hat[i]))
         for i, p in enumerate(truth.intervals)
     )
     return ErrorMetrics(params=params, r0=r0)
@@ -442,14 +442,13 @@ def forecast(
     horizon: int,
     *,
     start_step: int = 0,
-    beyond: str = "extend",
 ) -> Trajectory:
     """Run the sampled model forward from x_start at sample index start_step.
 
     Scheduled releases inside the horizon apply their alpha; no release is
     ever invented past the schedule.  Beyond final_step the last interval's
-    rates continue when beyond="extend" (default); beyond="stop" truncates
-    the forecast at the schedule's end instead.
+    rates continue; a caller that wants to stop at the schedule's end passes
+    a shorter horizon.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -457,17 +456,8 @@ def forecast(
         raise ValueError(f"start_step must be >= 0, got {start_step}")
     if not 0.0 <= x_start <= 1.0:
         raise ValueError(f"x_start must lie in [0, 1], got {x_start}")
-    if beyond not in ("extend", "stop"):
-        raise ValueError(f"unknown beyond-schedule policy {beyond!r}")
     sched = spec.schedule
     h = sched.step_size
-    if beyond == "stop":
-        horizon = min(horizon, max(0, sched.final_step - start_step))
-        if horizon < 1:
-            raise ValueError(
-                f"nothing to forecast: the schedule ends at step {sched.final_step} "
-                f"and the start step is {start_step}"
-            )
     # the recursion on the window shifted to start_step; the extra sample
     # keeps a release on the last forecast sample a valid schedule
     first = bisect.bisect_right(sched.update_steps, start_step)

@@ -45,8 +45,8 @@ from .model import (
     Trajectory,
     UpdateSchedule,
     _load_json,
-    _r0_or_nan,
     parameter_names,
+    reproduction_number,
     scenario_from_dict,
     scenario_to_dict,
     theta_unpack,
@@ -220,7 +220,7 @@ class StudyCell:
 
     def r0_matrix(self) -> np.ndarray:
         """Per-trial reproduction numbers, one column per interval."""
-        return np.array([[_r0_or_nan(p) for p in theta_unpack(t)] for t in self.theta_hats])
+        return np.array([[reproduction_number(p) for p in theta_unpack(t)] for t in self.theta_hats])
 
     def param_rel_errors(self) -> np.ndarray:
         return _rel_errors(self.theta_true, np.array(self.theta_hats))
@@ -348,7 +348,7 @@ def run_noise_study(plan: ExperimentPlan) -> NoiseStudyResult:
     master_spec = HybridModelSpec(schedule=master_sched, intervals=spec0.intervals)
     x0 = plan.scenario.x0
     theta_true = spec0.theta
-    r0_true = np.array([_r0_or_nan(p) for p in spec0.intervals])
+    r0_true = np.array([reproduction_number(p) for p in spec0.intervals])
 
     clean_master: Trajectory | None = None
     if "noiseless" in plan.regimes or "observation" in plan.regimes:

@@ -73,17 +73,8 @@ class IntervalParams:
 
 
 def reproduction_number(params: IntervalParams) -> float:
-    """Basic reproduction number beta / gamma of one interval.
-
-    Raises ValueError when gamma is zero, where the ratio is undefined.
-    """
-    if params.gamma == 0.0:
-        raise ValueError("reproduction number undefined: gamma is zero")
-    return params.beta / params.gamma
-
-
-def _r0_or_nan(params: IntervalParams) -> float:
-    """beta / gamma, or NaN where gamma is zero (raw estimates may have it)."""
+    """Basic reproduction number beta / gamma of one interval, or NaN where
+    gamma is zero and the ratio is undefined (raw estimates may have it)."""
     return params.beta / params.gamma if params.gamma != 0.0 else float("nan")
 
 
@@ -328,6 +319,15 @@ def _interval_to_dict(p: IntervalParams) -> dict:
     return d
 
 
+def _number(value, field: str, convert=float):
+    """convert(value), or a ValueError naming the field; float and int keep
+    their own rules, so "0.5" and true convert and "abc" and null do not."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must be a number, got {value!r}") from None
+
+
 def _interval_from_dict(d: dict, index: int) -> IntervalParams:
     extra = set(d) - {"alpha", "beta", "gamma"}
     if extra:
@@ -338,12 +338,7 @@ def _interval_from_dict(d: dict, index: int) -> IntervalParams:
     for key in ("beta", "gamma") if index == 0 else ("beta", "gamma", "alpha"):
         if key not in d:
             raise ValueError(f"interval {index}: missing field '{key}'")
-        try:
-            values[key] = float(d[key])
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"interval {index}: field '{key}' must be a number, got {d[key]!r}"
-            ) from None
+        values[key] = _number(d[key], f"interval {index}: field '{key}'")
     return IntervalParams(**values)
 
 
@@ -366,9 +361,11 @@ def _schedule_from_dict(d: dict) -> UpdateSchedule:
         if key not in d:
             raise ValueError(f"missing field '{key}'")
     return UpdateSchedule(
-        update_steps=tuple(d["update_steps"]),
-        final_step=d["final_step"],
-        step_size=d["h"],
+        update_steps=tuple(
+            _number(t, "an entry of field 'update_steps'", int) for t in d["update_steps"]
+        ),
+        final_step=_number(d["final_step"], "field 'final_step'", int),
+        step_size=_number(d["h"], "field 'h'"),
     )
 
 
@@ -386,7 +383,10 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise ValueError("'intervals' must be a list")
     intervals = tuple(_interval_from_dict(entry, i) for i, entry in enumerate(raw))
     spec = HybridModelSpec(schedule=schedule, intervals=intervals)
-    return Scenario(spec=spec, x0=d["x0"], population=d.get("population"))
+    population = d.get("population")
+    if population is not None:
+        population = _number(population, "field 'population'", int)
+    return Scenario(spec=spec, x0=_number(d["x0"], "field 'x0'"), population=population)
 
 
 def _load_json(path: str | Path, build):

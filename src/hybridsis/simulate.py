@@ -15,20 +15,18 @@ releases:
   simulate_dt   the sampled recursion x + h * (beta (1 - x) x - gamma x),
                 one step per sample.
   simulate_ct   the continuous SIS flow.  With fixed rates it is logistic,
-                so the default method="exact" evaluates its closed form at
-                every sample; method="euler" takes fine_substeps recursion
-                steps of size h / fine_substeps per sample.
-  simulate_sde  the Euler recursion plus multiplicative demand noise
-                sigma * x * sqrt(dt) * z per sub-step, floored at zero.
+                so it evaluates the closed form at every sample.
+  simulate_sde  the Euler recursion, fine_substeps steps of size
+                h / fine_substeps per sample, plus multiplicative demand
+                noise sigma * x * sqrt(dt) * z per sub-step, floored at zero.
 
-The recursion is written once, in _recurse; simulate_dt, the Euler variant
-of simulate_ct, simulate_sde, estimate.forecast and the real-data refits are
-all calls to it.  With method="euler" and fine_substeps=1, simulate_ct
-reproduces simulate_dt sample for sample, and simulate_sde with sigma=0
-reproduces the Euler path at any sub-step count bit for bit.  All stochastic
-draws come from numpy's PCG64 generator seeded explicitly; normals are drawn
-in one batch, consumed in simulation order, so equal seeds give equal paths
-on any platform with the same numpy series.
+The recursion is written once, in _recurse; simulate_dt, simulate_sde,
+estimate.forecast and the real-data refits are all calls to it.
+simulate_sde with sigma=0 is the noiseless Euler recursion at any sub-step
+count bit for bit, and at one sub-step it reproduces simulate_dt sample for
+sample.  All stochastic draws come from numpy's PCG64 generator seeded
+explicitly; normals are drawn in one batch, consumed in simulation order, so
+equal seeds give equal paths on any platform with the same numpy series.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ class StabilityWarning(UserWarning):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Knobs shared by the continuous and stochastic generators."""
+    """The seed, noise scale and sub-step count of simulate_sde."""
 
     seed: int = 0
     sigma: float = 0.0
@@ -196,35 +194,20 @@ def simulate_dt(spec: HybridModelSpec, x0: float) -> Trajectory:
     return Trajectory(values=xs, step_size=spec.schedule.step_size)
 
 
-def simulate_ct(
-    spec: HybridModelSpec,
-    x0: float,
-    config: SimulationConfig | None = None,
-    *,
-    method: str = "exact",
-) -> Trajectory:
+def simulate_ct(spec: HybridModelSpec, x0: float) -> Trajectory:
     """The continuous SIS flow, sampled every step_size.
 
-    method="exact" (default) evaluates the closed-form logistic solution
+    Evaluates the closed-form logistic solution
 
         x(t) = r x0 e^{rt} / (r + beta x0 (e^{rt} - 1)),   r = beta - gamma,
 
     (x0 / (1 + beta x0 t) when r = 0) at every sample, with t measured from
-    the interval's opening sample; it ignores config.fine_substeps.
-    method="euler" takes config.fine_substeps recursion steps per sample and
-    matches simulate_dt at one sub-step.  Release steps apply the jump rule
-    to the previous sample and skip the flow, keeping the sampled release
+    the interval's opening sample.  Release steps apply the jump rule to the
+    previous sample and skip the flow, keeping the sampled release
     convention identical across all generators.
     """
-    if config is None:
-        config = SimulationConfig()
     x = _check_start(x0)
-    if method not in ("exact", "euler"):
-        raise ValueError(f"unknown integration method {method!r}")
     sched = spec.schedule
-    if method == "euler":
-        xs, _ = _recurse(sched, spec.intervals, x, substeps=config.fine_substeps)
-        return Trajectory(values=xs, step_size=sched.step_size)
     xs = np.empty(sched.n_samples, dtype=float)
     xs[0] = x
     for i, p in enumerate(spec.intervals):
@@ -252,7 +235,8 @@ def simulate_sde(
     with z standard normal.  Zero is absorbing for the noiseless flow, so any
     excursion below zero is clamped back to zero and counted in the returned
     trajectory's clamp_count.  With sigma = 0 the noise term vanishes and the
-    output equals simulate_ct with method="euler" exactly.
+    output is the noiseless Euler recursion bit for bit, which at one
+    sub-step equals simulate_dt.
     """
     if config is None:
         config = SimulationConfig()

@@ -29,10 +29,10 @@ from hybridsis import (
     load_series,
     run_noise_study,
     run_realdata_study,
-    simulate_ct,
     simulate_dt,
     simulate_sde,
 )
+from hybridsis.simulate import _recurse
 
 from conftest import ACCEPTANCE_LINES
 
@@ -266,8 +266,8 @@ def test_zero_noise_path_equals_euler_path(demo_scenario):
     for sub in (1, 5):
         noisy_cfg = SimulationConfig(seed=123, sigma=0.0, fine_substeps=sub)
         a = simulate_sde(spec, x0, noisy_cfg)
-        b = simulate_ct(spec, x0, SimulationConfig(fine_substeps=sub), method="euler")
-        same = same and bool(np.array_equal(a.values, b.values))
+        b, _ = _recurse(spec.schedule, spec.intervals, x0, substeps=sub)
+        same = same and bool(np.array_equal(a.values, b))
     report(same, "criterion 7 (zero-noise collapse): sigma=0 stochastic path is "
                  "bitwise equal to the Euler path at substeps 1 and 5")
     assert same

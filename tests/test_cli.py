@@ -233,6 +233,31 @@ def test_simulate_sigma_is_for_sde_only(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["dt", "ct"])
+def test_simulate_seed_is_for_sde_only(tmp_path, capsys, mode):
+    out = tmp_path / "traj.csv"
+    code, _, err = run_cli(
+        capsys, "simulate", "--scenario", str(SCENARIO_PATH), "--mode", mode,
+        "--seed", "5", "--out", str(out),
+    )
+    assert code == 2
+    assert err == f"error: --seed applies to --mode sde only, not to --mode {mode}\n"
+    assert not out.exists()
+
+
+def test_simulate_sde_seed_defaults_to_zero(tmp_path, capsys):
+    for name, seed in (("unset", []), ("zero", ["--seed", "0"])):
+        out = tmp_path / f"{name}.csv"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--scenario", str(SCENARIO_PATH), "--mode", "sde",
+            "--sigma", "0.02", *seed, "--out", str(out),
+        )
+        assert code == 0
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        assert manifest["seed"] == 0
+    assert (tmp_path / "unset.csv").read_bytes() == (tmp_path / "zero.csv").read_bytes()
+
+
 def test_usage_and_missing_file_errors(tmp_path, capsys):
     assert run_cli(capsys, "simulate", "--scenario", "/does/not/exist.json",
                    "--mode", "dt", "--out", str(tmp_path / "x.csv"))[0] == 2
@@ -499,6 +524,9 @@ WRONGLY_TYPED = [
     ("forecast", "intervals", _TEXT_BETA, "interval 1: field 'beta' must be a number, got 'abc'"),
     ("estimate", "update_steps", [90, 30], "update steps must be strictly increasing"),
     ("study", "scenario", _NO_X0, "missing field 'x0'"),
+    ("forecast", "x0", "abc", "field 'x0' must be a number, got 'abc'"),
+    ("simulate", "h", "abc", "field 'h' must be a number, got 'abc'"),
+    ("identify", "final_step", "abc", "field 'final_step' must be a number, got 'abc'"),
 ]
 
 

@@ -443,11 +443,6 @@ def test_forecast_beyond_schedule():
     )
     extended = forecast(spec, 0.5, 10)
     assert len(extended) == 11  # keeps flowing with the last interval's rates
-    stopped = forecast(spec, 0.5, 10, beyond="stop")
-    assert len(stopped) == 6
-    np.testing.assert_array_equal(stopped.values, extended.values[:6])
-    with pytest.raises(ValueError, match="nothing to forecast"):
-        forecast(spec, 0.5, 3, start_step=5, beyond="stop")
 
 
 def test_forecast_validation(demo_scenario):
@@ -458,5 +453,3 @@ def test_forecast_validation(demo_scenario):
         forecast(spec, 1.5, 3)
     with pytest.raises(ValueError):
         forecast(spec, 0.5, 3, start_step=-1)
-    with pytest.raises(ValueError):
-        forecast(spec, 0.5, 3, beyond="hold")

@@ -142,10 +142,9 @@ def test_release_escape_policies():
     [
         simulate_dt,
         simulate_ct,
-        partial(simulate_ct, config=SimulationConfig(fine_substeps=2), method="euler"),
         partial(simulate_sde, config=SimulationConfig(sigma=0.01, fine_substeps=2)),
     ],
-    ids=["dt", "ct_exact", "ct_euler", "sde"],
+    ids=["dt", "ct_exact", "sde"],
 )
 def test_release_escape_raises_in_every_generator(generate):
     # the release on step 1 sees x0 itself, so noise cannot move the message
@@ -160,14 +159,14 @@ def test_release_escape_raises_in_every_generator(generate):
 
 def test_ct_exact_matches_logistic():
     spec = single_interval(0.9, 0.3, 20)
-    traj = simulate_ct(spec, 0.1, SimulationConfig(fine_substeps=20))
+    traj = simulate_ct(spec, 0.1)
     exact = np.array([logistic(0.1, 0.9, 0.3, t) for t in range(21)])
     np.testing.assert_allclose(traj.values, exact, atol=1e-12, rtol=0)
 
 
 def test_ct_equal_rates_closed_form():
     spec = single_interval(0.3, 0.3, 15)
-    traj = simulate_ct(spec, 0.4, SimulationConfig(fine_substeps=20))
+    traj = simulate_ct(spec, 0.4)
     exact = np.array([logistic(0.4, 0.3, 0.3, t) for t in range(16)])
     np.testing.assert_allclose(traj.values, exact, atol=1e-12, rtol=0)
 
@@ -196,9 +195,7 @@ def test_ct_exact_flow_property(beta, gamma, equal, x0, h, n):
 
 
 def test_ct_demo_landmarks(demo_scenario):
-    traj = simulate_ct(
-        demo_scenario.spec, demo_scenario.x0, SimulationConfig(fine_substeps=100)
-    )
+    traj = simulate_ct(demo_scenario.spec, demo_scenario.x0)
     v = traj.values
     assert v[29] == pytest.approx(DEMO_X29, abs=1e-12)
     assert v[89] == pytest.approx(DEMO_X89, abs=1e-12)
@@ -225,8 +222,7 @@ def test_ct_euler_converges_to_exact_flow():
     spec = single_interval(0.9, 0.3, 20)
     exact = simulate_ct(spec, 0.1).values
     errs = [
-        np.max(np.abs(simulate_ct(spec, 0.1, SimulationConfig(fine_substeps=sub),
-                                  method="euler").values - exact))
+        np.max(np.abs(simulate_sde(spec, 0.1, SimulationConfig(fine_substeps=sub)).values - exact))
         for sub in (1, 2, 4)
     ]
     # order one: halving the sub-step halves the error
@@ -236,15 +232,8 @@ def test_ct_euler_converges_to_exact_flow():
 def test_ct_euler_one_substep_equals_dt(demo_scenario):
     spec = demo_scenario.spec
     dt_traj = simulate_dt(spec, demo_scenario.x0)
-    ct_traj = simulate_ct(
-        spec, demo_scenario.x0, SimulationConfig(fine_substeps=1), method="euler"
-    )
-    assert np.array_equal(dt_traj.values, ct_traj.values)
-
-
-def test_ct_rejects_unknown_method(demo_scenario):
-    with pytest.raises(ValueError, match="method"):
-        simulate_ct(demo_scenario.spec, 0.05, method="heun")
+    euler = simulate_sde(spec, demo_scenario.x0, SimulationConfig(fine_substeps=1))
+    assert np.array_equal(dt_traj.values, euler.values)
 
 
 def test_simulation_config_validation():
@@ -253,7 +242,7 @@ def test_simulation_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(fine_substeps=0)
     with pytest.raises(ValueError):
-        simulate_ct(single_interval(0.5, 0.2, 5), 1.2, SimulationConfig())
+        simulate_ct(single_interval(0.5, 0.2, 5), 1.2)
 
 
 def test_sde_zero_sigma_equals_euler_ct(demo_scenario):
@@ -261,8 +250,10 @@ def test_sde_zero_sigma_equals_euler_ct(demo_scenario):
     for sub in (1, 3):
         cfg = SimulationConfig(sigma=0.0, fine_substeps=sub, seed=5)
         sde = simulate_sde(spec, demo_scenario.x0, cfg)
-        euler = simulate_ct(spec, demo_scenario.x0, cfg, method="euler")
-        assert np.array_equal(sde.values, euler.values)
+        euler, _ = hybridsis.simulate._recurse(
+            spec.schedule, spec.intervals, demo_scenario.x0, substeps=sub
+        )
+        assert np.array_equal(sde.values, euler)
 
 
 def test_sde_seed_determinism(demo_scenario):
@@ -323,9 +314,6 @@ def _recursion_case(name, scenario, tmp_path):
     kind, *arg = name.split("-")
     if kind == "dt":
         traj = simulate_dt(spec, x0)
-    elif kind == "ct_euler":
-        cfg = SimulationConfig(fine_substeps=int(arg[0]))
-        traj = simulate_ct(spec, x0, cfg, method="euler")
     elif kind == "sde":
         cfg = SimulationConfig(seed=1, sigma=float(arg[0]), fine_substeps=int(arg[1]))
         traj = simulate_sde(spec, x0, cfg)
@@ -358,8 +346,6 @@ def _recursion_case(name, scenario, tmp_path):
 # their params.csv, r0.csv and summary.json instead
 RECURSION_GOLDEN = {
     "dt": ("c02be2301863c31caa4ca0810cdccabddbcf02869d9407449b1875028eff8cd0", 0),
-    "ct_euler-1": ("c02be2301863c31caa4ca0810cdccabddbcf02869d9407449b1875028eff8cd0", 0),
-    "ct_euler-3": ("8e7ee190e5aa7b44c77a0ecb4914cf5b6f2a2e59aceb8d868b5f29dadd9207dd", 0),
     "sde-0.0-1": ("c02be2301863c31caa4ca0810cdccabddbcf02869d9407449b1875028eff8cd0", 0),
     "sde-0.0-3": ("8e7ee190e5aa7b44c77a0ecb4914cf5b6f2a2e59aceb8d868b5f29dadd9207dd", 0),
     "sde-0.0-5": ("bc296e131dbc5fc4887e00e06986df14f64404238432275bac33ef13af5ed69f", 0),
