@@ -162,7 +162,7 @@ def _cmd_estimate(args, argv: list[str]) -> int:
     out["identifiability"] = report.to_dict()
     if args.truth is not None:
         truth = load_scenario(args.truth)
-        out["errors"] = error_metrics(result, truth.spec).to_dict()
+        out["errors"] = error_metrics(result, truth.spec)
     if notes:
         out["warnings"] = notes
     _print_json(out)

@@ -73,8 +73,6 @@ __all__ = [
     "RankDeficiencyWarning",
     "EstimationResult",
     "estimate",
-    "MetricEntry",
-    "ErrorMetrics",
     "error_metrics",
     "forecast",
 ]
@@ -119,15 +117,6 @@ class RegressionSystem:
         ordinary rows, which may be none."""
         ks = self.schedule.sis_index_range(i)
         return range(ks.start - 1 if i else 0, ks.stop)
-
-    def block_matrix(self, i: int) -> np.ndarray:
-        rows = self.block_rows(i)
-        # the last width columns: interval 0 has no release column
-        return self.psi[rows.start : rows.stop, -_width(i) :]
-
-    def block_rhs(self, i: int) -> np.ndarray:
-        rows = self.block_rows(i)
-        return self.y[rows.start : rows.stop]
 
     @cached_property
     def solution(self) -> "BlockSolution":
@@ -378,62 +367,39 @@ def estimate(system: RegressionSystem) -> EstimationResult:
     )
 
 
-@dataclass(frozen=True)
-class MetricEntry:
-    """One compared quantity.  error is relative when the true value is
-    nonzero, absolute otherwise (relative=False marks that case)."""
-
-    name: str
-    true: float
-    estimate: float
-    error: float
-    relative: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "true": _json_float(self.true),
-            "estimate": _json_float(self.estimate),
-            "error": _json_float(self.error),
-            "relative": self.relative,
-        }
+def _entry(name: str, true: float, est: float) -> dict:
+    relative = bool(true != 0.0 and np.isfinite(true))
+    error = abs(est - true) / abs(true) if relative else abs(est - true)
+    return {
+        "name": name,
+        "true": _json_float(true),
+        "estimate": _json_float(est),
+        "error": _json_float(error),
+        "relative": relative,
+    }
 
 
-def _entry(name: str, true: float, est: float) -> MetricEntry:
-    if true != 0.0 and np.isfinite(true):
-        return MetricEntry(name, true, est, abs(est - true) / abs(true), True)
-    return MetricEntry(name, true, est, abs(est - true), False)
-
-
-@dataclass(frozen=True)
-class ErrorMetrics:
-    params: tuple[MetricEntry, ...]
-    r0: tuple[MetricEntry, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "params": [e.to_dict() for e in self.params],
-            "r0": [e.to_dict() for e in self.r0],
-        }
-
-
-def error_metrics(result: EstimationResult, truth: HybridModelSpec) -> ErrorMetrics:
-    """Per-parameter and per-interval reproduction-number errors vs truth."""
+def error_metrics(result: EstimationResult, truth: HybridModelSpec) -> dict:
+    """Per-parameter and per-interval reproduction-number errors vs truth, as
+    the JSON-ready {"params": [...], "r0": [...]} that `estimate --truth`
+    prints.  Each entry holds name, true, estimate, error and relative: the
+    error is relative where the true value is finite and nonzero, absolute
+    otherwise (relative false), and a NaN or infinite value is None."""
     theta_true = truth.theta
     if theta_true.size != result.theta_hat.size:
         raise ValueError(
             f"truth has {theta_true.size} parameters, estimate has {result.theta_hat.size}"
         )
     names = parameter_names(truth.schedule.n_updates)
-    params = tuple(
-        _entry(n, float(t), float(e))
-        for n, t, e in zip(names, theta_true, result.theta_hat)
-    )
-    r0 = tuple(
-        _entry(f"r0_{i}", reproduction_number(p), float(result.r0_hat[i]))
-        for i, p in enumerate(truth.intervals)
-    )
-    return ErrorMetrics(params=params, r0=r0)
+    return {
+        "params": [
+            _entry(n, float(t), float(e)) for n, t, e in zip(names, theta_true, result.theta_hat)
+        ],
+        "r0": [
+            _entry(f"r0_{i}", reproduction_number(p), float(result.r0_hat[i]))
+            for i, p in enumerate(truth.intervals)
+        ],
+    }
 
 
 def forecast(

@@ -44,7 +44,9 @@ from .model import (
     Scenario,
     Trajectory,
     UpdateSchedule,
+    _list,
     _load_json,
+    _number,
     parameter_names,
     reproduction_number,
     scenario_from_dict,
@@ -100,11 +102,11 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "regimes", tuple(self.regimes))
-        object.__setattr__(self, "h_values", tuple(float(h) for h in self.h_values))
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "fine_substeps", int(self.fine_substeps))
+        object.__setattr__(
+            self, "h_values", tuple(_number(h, "an entry of field 'h_values'") for h in self.h_values)
+        )
+        for key, convert in (("sigma", float), ("trials", int), ("seed", int), ("fine_substeps", int)):
+            object.__setattr__(self, key, _number(getattr(self, key), f"field '{key}'", convert))
         if not self.regimes:
             raise ValueError("at least one regime is required")
         for r in self.regimes:
@@ -130,40 +132,36 @@ class ExperimentPlan:
 def _grid(plan: ExperimentPlan):
     """Master schedule and, per swept h, (schedule at h, subsample stride).
 
-    Validates that release times and the final time are integer multiples of
-    every swept h and that every h is an integer multiple of the master step.
+    Validates that release times and the final time land on the master grid,
+    that every h is an integer multiple of the master step, and that each
+    h's stride divides every master release step and the final step.
     """
     sched0 = plan.scenario.spec.schedule
     h0 = sched0.step_size
-    t_updates = [t * h0 for t in sched0.update_steps]
+    h_master = min(plan.h_values) / plan.fine_substeps
     t_final = sched0.final_step * h0
-    h_min = min(plan.h_values)
-    h_master = h_min / plan.fine_substeps
-
-    master_updates = tuple(
-        _near_int(t / h_master, f"release time {t} over master step {h_master}")
-        for t in t_updates
+    master = UpdateSchedule(
+        update_steps=tuple(
+            _near_int(t * h0 / h_master, f"release time {t * h0} over master step {h_master}")
+            for t in sched0.update_steps
+        ),
+        final_step=_near_int(t_final / h_master, f"final time {t_final} over master step"),
+        step_size=h_master,
     )
-    master_final = _near_int(t_final / h_master, f"final time {t_final} over master step")
 
     per_h: dict[float, tuple[UpdateSchedule, int]] = {}
     for h in plan.h_values:
         stride = _near_int(h / h_master, f"step {h} over master step {h_master}")
-        updates = tuple(
-            _near_int(t / h, f"release time {t} over step {h}") for t in t_updates
+        for s in (*master.update_steps, master.final_step):
+            if s % stride:
+                raise ValueError(f"master step {s} misses the grid of step {h} (stride {stride})")
+        sched_h = UpdateSchedule(
+            update_steps=tuple(s // stride for s in master.update_steps),
+            final_step=master.final_step // stride,
+            step_size=h,
         )
-        final = _near_int(t_final / h, f"final time {t_final} over step {h}")
-        for u, mu in zip(updates, master_updates):
-            if u * stride != mu:
-                raise ValueError(f"release at step {u} (h={h}) misses the master grid")
-        if final * stride != master_final:
-            raise ValueError(f"final step {final} (h={h}) misses the master grid")
-        per_h[h] = (UpdateSchedule(update_steps=updates, final_step=final, step_size=h), stride)
-
-    master_sched = UpdateSchedule(
-        update_steps=master_updates, final_step=master_final, step_size=h_master
-    )
-    return master_sched, per_h
+        per_h[h] = (sched_h, stride)
+    return master, per_h
 
 
 def load_plan(path: str | Path) -> ExperimentPlan:
@@ -178,6 +176,9 @@ def load_plan(path: str | Path) -> ExperimentPlan:
         if "scenario" not in d:
             raise ValueError("missing field 'scenario'")
         overrides = {k: v for k, v in d.items() if k != "scenario"}
+        for key in ("regimes", "h_values"):
+            if key in overrides:
+                _list(overrides[key], f"field '{key}'")
         return ExperimentPlan(scenario=scenario_from_dict(d["scenario"]), **overrides)
 
     return _load_json(path, build)
@@ -383,14 +384,6 @@ def run_noise_study(plan: ExperimentPlan) -> NoiseStudyResult:
 # --- real-data fitting ------------------------------------------------------
 
 
-def _interval_of_sample(schedule: UpdateSchedule, n_samples: int) -> np.ndarray:
-    """Interval owning each sample index; a release sample belongs to the
-    interval it opens."""
-    return np.searchsorted(
-        np.asarray(schedule.update_steps), np.arange(n_samples), side="right"
-    )
-
-
 @dataclass
 class HoldoutResult:
     cut_step: int
@@ -398,7 +391,6 @@ class HoldoutResult:
     ok: bool
     identifiability: IdentifiabilityReport
     estimation: EstimationResult | None
-    forecast_values: np.ndarray | None
     forecast_rmse_counts: float | None
 
     def to_dict(self) -> dict:
@@ -474,7 +466,8 @@ def run_realdata_study(dataset: AlignedDataset, holdout: int | None = None) -> F
     # leave the generative ranges, and the recursion is still defined there
     sim, _ = _recurse(sched, result.intervals_hat, traj.values[0], check=False)
     diff = (sim - traj.values) * n
-    owner = _interval_of_sample(sched, len(traj))
+    # the interval owning each sample; a release sample opens its interval
+    owner = np.searchsorted(sched.update_steps, np.arange(len(traj)), side="right")
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged refit scores inf or nan
         sq = diff**2
         rmse = float(np.sqrt(np.mean(sq)))
@@ -513,7 +506,7 @@ def run_realdata_study(dataset: AlignedDataset, holdout: int | None = None) -> F
                 ),
             )
         )
-        fc_arr = fc_rmse = None
+        fc_rmse = None
         if prefix.ok:
             fc_arr, _ = _recurse(
                 UpdateSchedule((), holdout, sched.step_size),
@@ -529,7 +522,6 @@ def run_realdata_study(dataset: AlignedDataset, holdout: int | None = None) -> F
             ok=prefix.ok,
             identifiability=prefix.identifiability,
             estimation=prefix.estimation,
-            forecast_values=fc_arr,
             forecast_rmse_counts=fc_rmse,
         )
 

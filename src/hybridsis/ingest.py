@@ -6,17 +6,16 @@ user-supplied population scale N (the model works on fractions of a fixed
 addressable population, which the data alone cannot reveal).  One sample per
 day fixes the step size at h = 1.
 
-Missing days are detected and reported; by default they are a hard error at
-alignment time, and fill_gaps offers linear interpolation for callers who
-accept it.  An optional centered 7-day moving average can tame weekday
-cycles; it is off by default and flagged on the result when used.
+Missing days are detected and reported, and they are an error at alignment
+time: the series must list every day.  An optional centered 7-day moving
+average can tame weekday cycles; it is off by default and flagged on the
+result when used.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,12 +28,9 @@ __all__ = [
     "RawSeries",
     "AlignedDataset",
     "load_series",
-    "fill_gaps",
     "load_update_dates",
     "align",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -141,25 +137,6 @@ def load_series(path: str | Path) -> RawSeries:
     return _read_csv(path, check_header, _SERIES_DTYPE, _parse_series, row_loop)
 
 
-def fill_gaps(series: RawSeries) -> RawSeries:
-    """Fill missing days by linear interpolation between their neighbours.
-
-    Returns a gap-free series on the full daily range.  Each filled gap is
-    logged.  Counts are rounded back to integers.
-    """
-    if not series.gaps:
-        return series
-    first, last = series.dates[0], series.dates[-1]
-    n_days = (last - first).days + 1
-    all_days = [first + dt.timedelta(days=j) for j in range(n_days)]
-    day_index = np.array([(d - first).days for d in series.dates], dtype=float)
-    filled = np.interp(np.arange(n_days, dtype=float), day_index, series.counts.astype(float))
-    counts = np.rint(filled).astype(np.int64)
-    for d in series.gaps:
-        logger.info("filled missing day %s with interpolated count %d", d, counts[(d - first).days])
-    return RawSeries(dates=tuple(all_days), counts=counts, gaps=())
-
-
 def load_update_dates(path: str | Path) -> tuple[dt.date, ...]:
     """Read release dates: either a JSON array of ISO dates or a plain text
     file with one date per line."""
@@ -222,7 +199,7 @@ def align(
 ) -> AlignedDataset:
     """Window the series, map release dates to day offsets, normalize by N.
 
-    The series must be gap free (fill_gaps first, or supply complete data).
+    The series must be gap free: it lists every day.
     Every release date must fall strictly inside the window: day 0 needs
     history before a release to estimate its jump, and a release on the last
     day has no interval after it.  Counts above the population scale are
@@ -232,7 +209,7 @@ def align(
         preview = ", ".join(str(d) for d in series.gaps[:5])
         raise ValueError(
             f"series has {len(series.gaps)} missing day(s) ({preview}...); "
-            "fill gaps explicitly before aligning"
+            "the series must list every day"
         )
     population = int(population)
     if population <= 0:

@@ -26,6 +26,7 @@ with length 2 + 3 m.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -44,7 +45,6 @@ __all__ = [
     "parameter_names",
     "reproduction_number",
     "load_scenario",
-    "save_scenario",
     "scenario_from_dict",
     "scenario_to_dict",
     "load_schedule",
@@ -320,12 +320,20 @@ def _interval_to_dict(p: IntervalParams) -> dict:
 
 
 def _number(value, field: str, convert=float):
-    """convert(value), or a ValueError naming the field; float and int keep
-    their own rules, so "0.5" and true convert and "abc" and null do not."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{field} must be a number, got {value!r}") from None
+    """convert(value) for a JSON number, or a ValueError naming the field:
+    true, "0.5" and null are not numbers, and convert=int takes no fraction."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    if convert is int and not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return convert(value)
+
+
+def _list(value, field: str) -> list:
+    """value, or a ValueError naming the field where it is not a JSON list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list, got {value!r}")
+    return value
 
 
 def _interval_from_dict(d: dict, index: int) -> IntervalParams:
@@ -362,7 +370,8 @@ def _schedule_from_dict(d: dict) -> UpdateSchedule:
             raise ValueError(f"missing field '{key}'")
     return UpdateSchedule(
         update_steps=tuple(
-            _number(t, "an entry of field 'update_steps'", int) for t in d["update_steps"]
+            _number(t, "an entry of field 'update_steps'", int)
+            for t in _list(d["update_steps"], "field 'update_steps'")
         ),
         final_step=_number(d["final_step"], "field 'final_step'", int),
         step_size=_number(d["h"], "field 'h'"),
@@ -378,9 +387,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     for key in ("intervals", "x0"):
         if key not in d:
             raise ValueError(f"missing field '{key}'")
-    raw = d["intervals"]
-    if not isinstance(raw, list):
-        raise ValueError("'intervals' must be a list")
+    raw = _list(d["intervals"], "field 'intervals'")
     intervals = tuple(_interval_from_dict(entry, i) for i, entry in enumerate(raw))
     spec = HybridModelSpec(schedule=schedule, intervals=intervals)
     population = d.get("population")
@@ -408,12 +415,6 @@ def _load_json(path: str | Path, build):
 
 def load_scenario(path: str | Path) -> Scenario:
     return _load_json(path, scenario_from_dict)
-
-
-def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2)
-        fh.write("\n")
 
 
 def load_schedule(path: str | Path) -> UpdateSchedule:

@@ -508,32 +508,61 @@ def test_study_cli_overrides(tmp_path, capsys):
 
 _SCENARIO = json.loads(SCENARIO_PATH.read_text())
 _NO_X0 = {k: v for k, v in _SCENARIO.items() if k != "x0"}
-_TEXT_BETA = [_SCENARIO["intervals"][0], {"alpha": 0.5, "beta": "abc", "gamma": 0.15},
-              _SCENARIO["intervals"][2]]
 
-# (command, field, value, text the message must hold after the file name)
+
+def _with_interval_1_beta(beta):
+    return [_SCENARIO["intervals"][0], {"alpha": 0.5, "beta": beta, "gamma": 0.15},
+            _SCENARIO["intervals"][2]]
+
+
+def case(command, field, value, message="", id=None):
+    """A file whose field holds value, and the text the message must hold
+    after the file name; the id defaults to command-field."""
+    return pytest.param(command, field, value, message, id=id or f"{command}-{field}")
+
+
 WRONGLY_TYPED = [
-    ("simulate", "update_steps", 5, ""),
-    ("simulate", "intervals", [5, 6, 7], ""),
-    ("simulate", "x0", None, ""),
-    ("forecast", "h", None, ""),
-    ("identify", "update_steps", 5, ""),
-    ("estimate", "final_step", [150], ""),
-    ("study", "h_values", 1, ""),
-    ("study", "trials", None, ""),
-    ("forecast", "intervals", _TEXT_BETA, "interval 1: field 'beta' must be a number, got 'abc'"),
-    ("estimate", "update_steps", [90, 30], "update steps must be strictly increasing"),
-    ("study", "scenario", _NO_X0, "missing field 'x0'"),
-    ("forecast", "x0", "abc", "field 'x0' must be a number, got 'abc'"),
-    ("simulate", "h", "abc", "field 'h' must be a number, got 'abc'"),
-    ("identify", "final_step", "abc", "field 'final_step' must be a number, got 'abc'"),
+    case("simulate", "update_steps", 5, "field 'update_steps' must be a list, got 5"),
+    case("simulate", "intervals", [5, 6, 7]),
+    case("simulate", "x0", None, "field 'x0' must be a number, got None"),
+    case("forecast", "h", None, "field 'h' must be a number, got None"),
+    case("identify", "update_steps", 5, "field 'update_steps' must be a list, got 5"),
+    case("estimate", "final_step", [150], "field 'final_step' must be a number, got [150]"),
+    case("study", "h_values", 1, "field 'h_values' must be a list, got 1"),
+    case("study", "trials", None, "field 'trials' must be a number, got None"),
+    case("forecast", "intervals", _with_interval_1_beta("abc"),
+         "interval 1: field 'beta' must be a number, got 'abc'"),
+    case("estimate", "update_steps", [90, 30], "update steps must be strictly increasing"),
+    case("study", "scenario", _NO_X0, "missing field 'x0'"),
+    case("forecast", "x0", "abc", "field 'x0' must be a number, got 'abc'"),
+    case("simulate", "h", "abc", "field 'h' must be a number, got 'abc'"),
+    case("identify", "final_step", "abc", "field 'final_step' must be a number, got 'abc'"),
+    # JSON values that a bare int() or float() would take, but not as the type
+    # the field needs: a string is not a list or a number, true is not a
+    # number, and an integer field takes no fraction
+    case("simulate", "update_steps", "39", "field 'update_steps' must be a list, got '39'",
+         id="simulate-update_steps-string"),
+    case("identify", "update_steps", [30.5, 90],
+         "an entry of field 'update_steps' must be an integer, got 30.5",
+         id="identify-update_steps-fraction"),
+    case("simulate", "final_step", 150.7, "field 'final_step' must be an integer, got 150.7"),
+    case("simulate", "intervals", _with_interval_1_beta(True),
+         "interval 1: field 'beta' must be a number, got True", id="simulate-intervals-bool"),
+    case("simulate", "population", 2.5, "field 'population' must be an integer, got 2.5"),
+    case("study", "trials", 2.9, "field 'trials' must be an integer, got 2.9",
+         id="study-trials-fraction"),
+    case("study", "seed", "5", "field 'seed' must be a number, got '5'"),
+    case("study", "sigma", "0.02", "field 'sigma' must be a number, got '0.02'"),
+    case("study", "fine_substeps", True, "field 'fine_substeps' must be a number, got True"),
+    case("study", "h_values", "1", "field 'h_values' must be a list, got '1'",
+         id="study-h_values-string"),
+    case("study", "h_values", ["1"], "an entry of field 'h_values' must be a number, got '1'",
+         id="study-h_values-entry"),
+    case("study", "regimes", "process", "field 'regimes' must be a list, got 'process'"),
 ]
 
 
-@pytest.mark.parametrize(
-    "command, field, value, message", WRONGLY_TYPED,
-    ids=[f"{c}-{f}" for c, f, _, _ in WRONGLY_TYPED],
-)
+@pytest.mark.parametrize("command, field, value, message", WRONGLY_TYPED)
 def test_wrongly_typed_json_field_exits_2_naming_the_file(
     tmp_path, capsys, command, field, value, message
 ):

@@ -23,6 +23,16 @@ from hybridsis.estimate import _STACK_ROWS, RANK_RTOL
 from hybridsis.model import theta_slice
 
 
+def block(system, i):
+    """Interval i's block of psi, in its last width columns (interval 0 has
+    no release column), and its right-hand side."""
+    rows, cols = system.block_rows(i), theta_slice(i)
+    return (
+        system.psi[rows.start : rows.stop, -(cols.stop - cols.start) :],
+        system.y[rows.start : rows.stop],
+    )
+
+
 def test_regression_small_system_by_hand():
     # m=1, release at step 3, final step 5, h=0.5: rows 0-1 are interval-0
     # flow rows, row 2 is the release row, rows 3-4 are interval-1 flow rows
@@ -46,10 +56,11 @@ def test_regression_small_system_by_hand():
 
     assert [system.block_rows(i) for i in range(2)] == [range(0, 2), range(2, 5)]
     assert [theta_slice(i) for i in range(2)] == [slice(0, 2), slice(2, 5)]
-    np.testing.assert_array_equal(system.block_matrix(0), expected[0:2, 1:3])
-    np.testing.assert_array_equal(system.block_matrix(1), expected[2:5, 0:3])
-    np.testing.assert_array_equal(system.block_rhs(0), system.y[0:2])
-    np.testing.assert_array_equal(system.block_rhs(1), system.y[2:5])
+    (a0, rhs0), (a1, rhs1) = block(system, 0), block(system, 1)
+    np.testing.assert_array_equal(a0, expected[0:2, 1:3])
+    np.testing.assert_array_equal(a1, expected[2:5, 0:3])
+    np.testing.assert_array_equal(rhs0, system.y[0:2])
+    np.testing.assert_array_equal(rhs1, system.y[2:5])
 
 
 def test_regression_demo_shape(demo_scenario):
@@ -68,8 +79,9 @@ def test_regression_demo_shape(demo_scenario):
         assert np.count_nonzero(system.psi[row]) == 1
     # and every other row leaves the release column empty
     assert np.count_nonzero(system.psi[:, 0]) == 2
-    np.testing.assert_array_equal(system.block_matrix(2), system.psi[89:150, 0:3])
-    np.testing.assert_array_equal(system.block_rhs(2), system.y[89:150])
+    a2, rhs2 = block(system, 2)
+    np.testing.assert_array_equal(a2, system.psi[89:150, 0:3])
+    np.testing.assert_array_equal(rhs2, system.y[89:150])
 
 
 def test_regression_no_updates():
@@ -80,7 +92,7 @@ def test_regression_no_updates():
     assert not system.psi[:, 0].any()
     assert system.schedule.n_intervals == 1
     assert system.block_rows(0) == range(0, 4)
-    assert system.block_matrix(0).shape == (4, 2)
+    assert block(system, 0)[0].shape == (4, 2)
 
 
 def test_regression_is_compact_for_many_releases():
@@ -91,7 +103,7 @@ def test_regression_is_compact_for_many_releases():
     assert system.psi.shape == (3010, 3)
     assert theta_slice(300).stop == 2 + 3 * 300
     assert system.block_rows(300) == range(2999, 3010)
-    assert system.block_matrix(300).shape == (11, 3)
+    assert block(system, 300)[0].shape == (11, 3)
 
 
 def test_regression_rejects_short_trajectory(demo_scenario):
@@ -192,7 +204,7 @@ def test_shared_solve_matches_per_block_lstsq():
     ref_theta = np.zeros(theta_slice(sched.n_updates).stop)
     ref_ranks, ref_sq = [], 0.0
     for i in blocks:
-        a, rhs = system.block_matrix(i), system.block_rhs(i)
+        a, rhs = block(system, i)
         sol, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=RANK_RTOL)
         ref_theta[theta_slice(i)] = sol
         ref_ranks.append(int(rank))
@@ -252,7 +264,7 @@ def test_identifiability_reports_conditioning():
     system = build_regression(traj, sched)
     report = check_identifiability(system)
     c0, c1 = report.intervals
-    assert c0.condition == pytest.approx(np.linalg.cond(system.block_matrix(0)), rel=1e-12)
+    assert c0.condition == pytest.approx(np.linalg.cond(block(system, 0)[0]), rel=1e-12)
     assert np.isnan(c1.condition)  # rank deficient
     d = report.to_dict()["intervals"]
     assert d[0]["condition"] == c0.condition and d[1]["condition"] is None
@@ -368,11 +380,11 @@ def test_error_metrics_examples():
         unique=True,
     )
     metrics = error_metrics(result, truth)
-    by_name = {e.name: e for e in metrics.params}
-    assert by_name["beta0"].error == pytest.approx(0.1)
-    assert by_name["beta0"].relative
-    assert metrics.r0[0].name == "r0_0"
-    assert metrics.r0[0].error == pytest.approx(abs(0.55 / 0.22267 - 2.5) / 2.5)
+    by_name = {e["name"]: e for e in metrics["params"]}
+    assert by_name["beta0"]["error"] == pytest.approx(0.1)
+    assert by_name["beta0"]["relative"] is True
+    assert metrics["r0"][0]["name"] == "r0_0"
+    assert metrics["r0"][0]["error"] == pytest.approx(abs(0.55 / 0.22267 - 2.5) / 2.5)
 
     with pytest.raises(ValueError, match="parameters"):
         error_metrics(result, HybridModelSpec(
@@ -397,11 +409,13 @@ def test_error_metrics_zero_truth_is_absolute():
         unique=True,
     )
     metrics = error_metrics(result, truth)
-    gamma_entry = [e for e in metrics.params if e.name == "gamma0"][0]
-    assert not gamma_entry.relative
-    assert gamma_entry.error == pytest.approx(0.01)
-    # true r0 is undefined at gamma=0; the entry degrades to absolute-vs-nan
-    assert metrics.r0[0].relative is False
+    gamma_entry = [e for e in metrics["params"] if e["name"] == "gamma0"][0]
+    assert gamma_entry["relative"] is False
+    assert gamma_entry["error"] == pytest.approx(0.01)
+    # true r0 is undefined at gamma=0; the entry degrades to absolute-vs-nan,
+    # which is null in JSON
+    assert metrics["r0"][0]["relative"] is False
+    assert metrics["r0"][0]["true"] is None and metrics["r0"][0]["error"] is None
 
 
 def test_forecast_single_step():

@@ -1,6 +1,5 @@
 import csv
 import datetime as dt
-import logging
 import warnings
 
 import numpy as np
@@ -12,7 +11,6 @@ import hybridsis.ingest
 from hybridsis import (
     AlignedDataset,
     align,
-    fill_gaps,
     load_series,
     load_update_dates,
 )
@@ -317,22 +315,6 @@ def test_load_series_parses_clean_files_in_c(tmp_path, monkeypatch):
     assert series.gaps == (START + dt.timedelta(days=3),)
 
 
-def test_fill_gaps_linear(tmp_path, caplog):
-    p = tmp_path / "s.csv"
-    hole = START + dt.timedelta(days=1)
-    write_csv(p, daily_rows([100, 150, 200], skip={hole}))
-    series = load_series(p)
-    with caplog.at_level(logging.INFO, logger="hybridsis.ingest"):
-        filled = fill_gaps(series)
-    assert filled.gaps == ()
-    assert len(filled) == 3
-    np.testing.assert_array_equal(filled.counts, [100, 150, 200])
-    assert any("filled missing day" in r.message for r in caplog.records)
-
-    # gap-free input comes back unchanged
-    assert fill_gaps(filled) is filled
-
-
 def test_load_update_dates_formats(tmp_path):
     as_json = tmp_path / "u.json"
     as_json.write_text('["2024-03-05", "2024-03-20"]')
@@ -402,7 +384,7 @@ def test_align_rejections(tmp_path):
     update = START + dt.timedelta(days=3)
 
     gappy = make_series(tmp_path, [100, 200, 300], skip={START + dt.timedelta(days=1)})
-    with pytest.raises(ValueError, match="missing day"):
+    with pytest.raises(ValueError, match=r"missing day.*the series must list every day"):
         align(gappy, [update], population=1000)
 
     with pytest.raises(ValueError, match="exceeds the population"):

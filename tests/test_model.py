@@ -16,7 +16,6 @@ from hybridsis import (
     load_schedule,
     parameter_names,
     reproduction_number,
-    save_scenario,
     theta_pack,
     theta_unpack,
 )
@@ -222,13 +221,11 @@ def test_scenario_validation(demo_scenario):
 def test_scenario_json_roundtrip(tmp_path, demo_scenario):
     path = tmp_path / "s.json"
     scen = Scenario(spec=demo_scenario.spec, x0=0.05, population=2_000_000)
-    save_scenario(scen, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(scenario_to_dict(scen), fh)
     again = load_scenario(path)
     assert again == scen
-    # file ends with a newline and holds plain JSON
-    text = path.read_text()
-    assert text.endswith("\n")
-    assert json.loads(text)["final_step"] == 150
+    assert json.loads(path.read_text())["final_step"] == 150
 
 
 def test_scenario_dict_strictness(demo_scenario):
@@ -258,6 +255,7 @@ def test_scenario_dict_strictness(demo_scenario):
 
 def test_load_schedule_reads_any_scenario_shaped_file(tmp_path, demo_scenario):
     path = tmp_path / "s.json"
-    save_scenario(demo_scenario, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(scenario_to_dict(demo_scenario), fh)
     sched = load_schedule(path)
     assert sched == demo_scenario.spec.schedule
