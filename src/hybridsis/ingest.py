@@ -6,10 +6,9 @@ user-supplied population scale N (the model works on fractions of a fixed
 addressable population, which the data alone cannot reveal).  One sample per
 day fixes the step size at h = 1.
 
-Missing days are detected and reported, and they are an error at alignment
-time: the series must list every day.  An optional centered 7-day moving
-average can tame weekday cycles; it is off by default and flagged on the
-result when used.
+A series must list every day: load_series rejects a missing day at its
+line.  An optional centered 7-day moving average can tame weekday cycles; it
+is off by default and flagged on the result when used.
 """
 
 from __future__ import annotations
@@ -35,74 +34,54 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RawSeries:
-    """Daily counts as read from disk.  gaps lists every missing calendar
-    day between the first and last date present."""
+    """Daily counts as read from disk: counts[j] is the count on day start + j."""
 
-    dates: tuple[dt.date, ...]
+    start: dt.date
     counts: np.ndarray
-    gaps: tuple[dt.date, ...]
 
     def __post_init__(self) -> None:
         arr = np.array(self.counts, dtype=np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "gaps", tuple(self.gaps))
-        if len(self.dates) != arr.size:
-            raise ValueError("dates and counts must have equal length")
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return self.counts.size
 
 
-# the one date form read from the C-parsed body: exactly YYYY-MM-DD (the 11th
-# byte ends the field); numpy and date.fromisoformat differ on others (20240101)
-_ISO_DAY = np.frombuffer(b"9999-99-99\0", np.uint8)
 _SERIES_DTYPE = np.dtype([("date", "S11"), ("count", "i8")])
 _I8_MAX = np.iinfo(np.int64).max
-
-
-def _series(days: np.ndarray, counts) -> RawSeries:
-    """RawSeries of increasing M8[D] days, every day missing between them a gap."""
-    missing = np.diff(days).astype(np.int64) - 1
-    first = np.repeat(np.cumsum(missing) - missing, missing)
-    gaps = np.repeat(days[:-1], missing) + (np.arange(first.size) - first + 1)
-    return RawSeries(dates=days.tolist(), counts=counts, gaps=gaps.tolist())
+_LAST_DAY = np.datetime64(dt.date.max, "D")
 
 
 def _parse_series(rows: np.ndarray) -> RawSeries | None:
     """The C-parsed body as a RawSeries, or None where the row loop must
-    decide.  Dates are assembled from their digits: numpy's string cast
-    crashes on a bad date in a long array (numpy 2.4)."""
-    chars = np.ascontiguousarray(rows["date"]).view(np.uint8).reshape(-1, _ISO_DAY.size)
-    digit = _ISO_DAY == ord("9")
-    form = (chars == _ISO_DAY) | (digit & (chars >= ord("0")) & (chars <= ord("9")))
-    if rows.size < 2 or not form.all():
+    decide: a negative count, or a date column that is not exactly row 1's
+    day and every day after it, each written YYYY-MM-DD.  Past 9999-12-31
+    numpy writes years that date.fromisoformat rejects (10000-01-01)."""
+    if rows.size < 2 or (rows["count"] < 0).any():
         return None
-    ymd = chars[:, digit].astype(np.int64) - ord("0")
-    y = ymd[:, :4] @ np.array([1000, 100, 10, 1])
-    m = ymd[:, 4:6] @ np.array([10, 1])
-    months = ((y - 1970) * 12 + m - 1).astype("M8[M]")
-    days = months.astype("M8[D]") + (ymd[:, 6:] @ np.array([10, 1]) - 1)
-    # a day 00 or past the month's end lands in another month
-    real = (y >= 1) & (m >= 1) & (m <= 12) & (days.astype("M8[M]") == months)
-    if not real.all() or (rows["count"] < 0).any() or (np.diff(days).astype(np.int64) < 1).any():
+    try:
+        start = dt.date.fromisoformat(rows["date"][0].decode())
+    except ValueError:  # UnicodeDecodeError too
         return None
-    return _series(days, rows["count"])
+    days = np.datetime64(start, "D") + np.arange(rows.size)
+    if days[-1] > _LAST_DAY or not np.array_equal(rows["date"], days.astype("S11")):
+        return None
+    return RawSeries(start, rows["count"])
 
 
 def load_series(path: str | Path) -> RawSeries:
-    """Read a `date,peak_players` CSV.  Rejects malformed rows, duplicate or
-    out-of-order dates, and counts that are negative or beyond int64, naming
-    the offending line.  The body is parsed in C, and a rejected file is
-    re-read line by line."""
+    """Read a `date,peak_players` CSV.  Rejects malformed rows, duplicate,
+    out-of-order or missing days, and counts that are negative or beyond
+    int64, naming the offending line.  The body is parsed in C, and a
+    rejected file is re-read line by line."""
 
     def check_header(header):
         if header is None or [c.strip().lower() for c in header] != ["date", "peak_players"]:
             raise ValueError(f"{path}: expected header 'date,peak_players', got {header}")
 
     def row_loop(reader):
-        dates: list[dt.date] = []
+        start = None
         counts: list[int] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -121,25 +100,30 @@ def load_series(path: str | Path) -> RawSeries:
                 raise ValueError(f"{path}:{lineno}: negative count {count}")
             if count > _I8_MAX:
                 raise ValueError(f"{path}:{lineno}: count {count} exceeds the int64 maximum")
-            if dates:
-                if day == dates[-1]:
+            if start is None:
+                start = day
+            else:
+                last = start + dt.timedelta(days=len(counts) - 1)
+                if day == last:
                     raise ValueError(f"{path}:{lineno}: duplicate date {day}")
-                if day < dates[-1]:
+                if day < last:
+                    raise ValueError(f"{path}:{lineno}: date {day} is out of order (after {last})")
+                if (day - last).days > 1:
                     raise ValueError(
-                        f"{path}:{lineno}: date {day} is out of order (after {dates[-1]})"
+                        f"{path}:{lineno}: {(day - last).days - 1} missing day(s) between "
+                        f"{last} and {day}; the series must list every day"
                     )
-            dates.append(day)
             counts.append(count)
-        if len(dates) < 2:
-            raise ValueError(f"{path}: need at least 2 daily rows, got {len(dates)}")
-        return _series(np.array(dates, "M8[D]"), np.asarray(counts))
+        if len(counts) < 2:
+            raise ValueError(f"{path}: need at least 2 daily rows, got {len(counts)}")
+        return RawSeries(start, counts)
 
     return _read_csv(path, check_header, _SERIES_DTYPE, _parse_series, row_loop)
 
 
 def load_update_dates(path: str | Path) -> tuple[dt.date, ...]:
-    """Read release dates: either a JSON array of ISO dates or a plain text
-    file with one date per line."""
+    """Read release dates: either a JSON array of ISO date strings or a plain
+    text file with one date per line."""
     text = Path(path).read_text(encoding="utf-8").strip()
     if not text:
         raise ValueError(f"{path}: no dates found")
@@ -150,14 +134,14 @@ def load_update_dates(path: str | Path) -> tuple[dt.date, ...]:
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(raw, list):
             raise ValueError(f"{path}: expected a JSON array of dates")
-        items = [str(v) for v in raw]
+        items = raw
     else:
         items = [line.strip() for line in text.splitlines() if line.strip()]
     dates = []
     for item in items:
-        try:
+        try:  # a JSON entry that is not a string is a TypeError
             dates.append(dt.date.fromisoformat(item))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad date {item!r}: {exc}") from exc
     for a, b in zip(dates, dates[1:]):
         if b <= a:
@@ -199,36 +183,28 @@ def align(
 ) -> AlignedDataset:
     """Window the series, map release dates to day offsets, normalize by N.
 
-    The series must be gap free: it lists every day.
+    The series lists every day from series.start (load_series checks it).
     Every release date must fall strictly inside the window: day 0 needs
     history before a release to estimate its jump, and a release on the last
     day has no interval after it.  Counts above the population scale are
     rejected.
     """
-    if series.gaps:
-        preview = ", ".join(str(d) for d in series.gaps[:5])
-        raise ValueError(
-            f"series has {len(series.gaps)} missing day(s) ({preview}...); "
-            "the series must list every day"
-        )
     population = int(population)
     if population <= 0:
         raise ValueError(f"population must be positive, got {population}")
 
-    lo = series.dates[0] if window is None or window[0] is None else window[0]
-    hi = series.dates[-1] if window is None or window[1] is None else window[1]
-    if lo < series.dates[0] or hi > series.dates[-1]:
-        raise ValueError(
-            f"window [{lo}, {hi}] exceeds the data range "
-            f"[{series.dates[0]}, {series.dates[-1]}]"
-        )
+    first = series.start
+    last = first + dt.timedelta(days=len(series) - 1)
+    lo = first if window is None or window[0] is None else window[0]
+    hi = last if window is None or window[1] is None else window[1]
+    if lo < first or hi > last:
+        raise ValueError(f"window [{lo}, {hi}] exceeds the data range [{first}, {last}]")
     if hi <= lo:
         raise ValueError(f"window [{lo}, {hi}] must span at least two days")
-    i0 = (lo - series.dates[0]).days
-    i1 = (hi - series.dates[0]).days
+    i0 = (lo - first).days
+    i1 = (hi - first).days
     counts = series.counts[i0 : i1 + 1]
-    n_days = counts.size
-    final_step = n_days - 1
+    final_step = i1 - i0
 
     worst = int(counts.max())
     if worst > population:

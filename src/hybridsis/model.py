@@ -26,6 +26,7 @@ with length 2 + 3 m.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -293,7 +294,8 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A runnable setup: model, starting share, optional population scale."""
+    """A runnable setup: model, starting share, optional population scale.
+    The scale is at most 2**53, so every count below it is exact as a float."""
 
     spec: HybridModelSpec
     x0: float
@@ -307,6 +309,8 @@ class Scenario:
             pop = int(self.population)
             if pop <= 0:
                 raise ValueError(f"population must be positive, got {pop}")
+            if pop > 2**53:
+                raise ValueError(f"population must be at most 2**53, got {pop}")
             object.__setattr__(self, "population", pop)
 
 
@@ -320,10 +324,13 @@ def _interval_to_dict(p: IntervalParams) -> dict:
 
 
 def _number(value, field: str, convert=float):
-    """convert(value) for a JSON number, or a ValueError naming the field:
-    true, "0.5" and null are not numbers, and convert=int takes no fraction."""
+    """convert(value) for a finite JSON number, or a ValueError naming the
+    field: true, "0.5" and null are not numbers, NaN and Infinity (1e400 too)
+    are not finite, and convert=int takes no fraction."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{field} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{field} must be finite, got {value!r}")
     if convert is int and not isinstance(value, numbers.Integral) and not float(value).is_integer():
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return convert(value)
@@ -337,6 +344,8 @@ def _list(value, field: str) -> list:
 
 
 def _interval_from_dict(d: dict, index: int) -> IntervalParams:
+    if not isinstance(d, dict):
+        raise ValueError(f"interval {index} must be a JSON object, got {d!r}")
     extra = set(d) - {"alpha", "beta", "gamma"}
     if extra:
         raise ValueError(f"interval {index}: unknown fields {sorted(extra)}")

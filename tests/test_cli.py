@@ -340,6 +340,22 @@ def test_fit_rejects_count_beyond_int64(tmp_path, capsys):
     assert err == f"error: {data}:6: count 9223372036854775808 exceeds the int64 maximum\n"
 
 
+def test_fit_rejects_a_missing_day_at_its_line(tmp_path, capsys):
+    data, updates, start = fit_fixture(tmp_path)
+    lines = data.read_text().splitlines()
+    del lines[5]  # the row of day 4, on line 6
+    data.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(data), "--updates", str(updates),
+        "--population", "1000000",
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: {data}:6: 1 missing day(s) between {start + dt.timedelta(days=3)} and "
+        f"{start + dt.timedelta(days=5)}; the series must list every day\n"
+    )
+
+
 def test_fit_window_and_smoothing(tmp_path, capsys):
     data, updates, start = fit_fixture(tmp_path)
     frm = (start + dt.timedelta(days=10)).isoformat()
@@ -523,7 +539,7 @@ def case(command, field, value, message="", id=None):
 
 WRONGLY_TYPED = [
     case("simulate", "update_steps", 5, "field 'update_steps' must be a list, got 5"),
-    case("simulate", "intervals", [5, 6, 7]),
+    case("simulate", "intervals", [5, 6, 7], "interval 0 must be a JSON object, got 5"),
     case("simulate", "x0", None, "field 'x0' must be a number, got None"),
     case("forecast", "h", None, "field 'h' must be a number, got None"),
     case("identify", "update_steps", 5, "field 'update_steps' must be a list, got 5"),
@@ -559,6 +575,18 @@ WRONGLY_TYPED = [
     case("study", "h_values", ["1"], "an entry of field 'h_values' must be a number, got '1'",
          id="study-h_values-entry"),
     case("study", "regimes", "process", "field 'regimes' must be a list, got 'process'"),
+    # json reads NaN and Infinity (and 1e400, as inf), which no field takes
+    case("simulate", "h", float("nan"), "field 'h' must be finite, got nan", id="simulate-h-nan"),
+    case("simulate", "intervals", _with_interval_1_beta(float("inf")),
+         "interval 1: field 'beta' must be finite, got inf", id="simulate-intervals-inf"),
+    case("study", "sigma", float("nan"), "field 'sigma' must be finite, got nan",
+         id="study-sigma-nan"),
+    # a count beyond 2**53 is not exact as a float, nor always within int64
+    case("simulate", "population", 1e30,
+         "population must be at most 2**53, got 1000000000000000019884624838656",
+         id="simulate-population-1e30"),
+    case("simulate", "population", 10**400, f"population must be at most 2**53, got {10**400}",
+         id="simulate-population-10**400"),
 ]
 
 
