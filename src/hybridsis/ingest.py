@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Trajectory, UpdateSchedule
+from .model import Trajectory, UpdateSchedule, _check_population
 from .simulate import _read_csv
 
 __all__ = [
@@ -186,12 +186,10 @@ def align(
     The series lists every day from series.start (load_series checks it).
     Every release date must fall strictly inside the window: day 0 needs
     history before a release to estimate its jump, and a release on the last
-    day has no interval after it.  Counts above the population scale are
-    rejected.
+    day has no interval after it.  Counts above the population scale, and a
+    scale above 2**53, are rejected.
     """
-    population = int(population)
-    if population <= 0:
-        raise ValueError(f"population must be positive, got {population}")
+    population = _check_population(population)
 
     first = series.start
     last = first + dt.timedelta(days=len(series) - 1)

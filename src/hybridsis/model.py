@@ -96,8 +96,8 @@ class UpdateSchedule:
         object.__setattr__(self, "update_steps", steps)
         object.__setattr__(self, "final_step", int(self.final_step))
         object.__setattr__(self, "step_size", float(self.step_size))
-        if self.step_size <= 0.0:
-            raise ValueError(f"step size must be positive, got {self.step_size}")
+        if not 0.0 < self.step_size < math.inf:  # NaN fails too
+            raise ValueError(f"step size must be positive and finite, got {self.step_size}")
         if self.final_step < 1:
             raise ValueError(f"final step must be at least 1, got {self.final_step}")
         for a, b in zip(steps, steps[1:]):
@@ -195,9 +195,10 @@ def parameter_names(n_updates: int) -> list[str]:
 class HybridModelSpec:
     """A simulatable model: schedule plus one parameter record per interval.
 
-    Construction validates what simulation needs: rates non-negative,
-    alpha >= -1 (a release cannot remove more than the whole user base), and
-    the structural rule that exactly interval 0 lacks alpha.
+    Construction validates what simulation needs: rates finite and
+    non-negative, alpha finite and >= -1 (a release cannot remove more than
+    the whole user base), and the structural rule that exactly interval 0
+    lacks alpha.
     """
 
     schedule: UpdateSchedule
@@ -215,10 +216,10 @@ class HybridModelSpec:
         for i, p in enumerate(self.intervals):
             if i > 0 and p.alpha is None:
                 raise ValueError(f"interval {i} must carry alpha")
-            if p.beta < 0.0 or p.gamma < 0.0:
-                raise ValueError(f"interval {i}: rates must be non-negative, got {p}")
-            if p.alpha is not None and p.alpha < -1.0:
-                raise ValueError(f"interval {i}: alpha must be >= -1, got {p.alpha}")
+            if not (0.0 <= p.beta < math.inf and 0.0 <= p.gamma < math.inf):  # NaN fails too
+                raise ValueError(f"interval {i}: rates must be finite and non-negative, got {p}")
+            if p.alpha is not None and not -1.0 <= p.alpha < math.inf:
+                raise ValueError(f"interval {i}: alpha must be finite and >= -1, got {p.alpha}")
 
     @property
     def theta(self) -> np.ndarray:
@@ -253,8 +254,8 @@ class Trajectory:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "step_size", float(self.step_size))
-        if self.step_size <= 0.0:
-            raise ValueError(f"step size must be positive, got {self.step_size}")
+        if not 0.0 < self.step_size < math.inf:
+            raise ValueError(f"step size must be positive and finite, got {self.step_size}")
         if self.population is not None:
             pop = int(self.population)
             if pop <= 0:
@@ -306,12 +307,17 @@ class Scenario:
         if not 0.0 <= self.x0 <= 1.0:
             raise ValueError(f"x0 must lie in [0, 1], got {self.x0}")
         if self.population is not None:
-            pop = int(self.population)
-            if pop <= 0:
-                raise ValueError(f"population must be positive, got {pop}")
-            if pop > 2**53:
-                raise ValueError(f"population must be at most 2**53, got {pop}")
-            object.__setattr__(self, "population", pop)
+            object.__setattr__(self, "population", _check_population(self.population))
+
+
+def _check_population(population) -> int:
+    """A population scale as an int in 1..2**53, where every count is exact as a float."""
+    pop = int(population)
+    if pop <= 0:
+        raise ValueError(f"population must be positive, got {pop}")
+    if pop > 2**53:
+        raise ValueError(f"population must be at most 2**53, got {pop}")
+    return pop
 
 
 def _interval_to_dict(p: IntervalParams) -> dict:

@@ -21,7 +21,10 @@ releases:
                 noise sigma * x * sqrt(dt) * z per sub-step, floored at zero.
 
 The recursion is written once, in _recurse; simulate_dt, simulate_sde,
-estimate.forecast and the real-data refits are all calls to it.
+estimate.forecast and the real-data refits are all calls to it.  It
+evaluates each step factored, x + x * (a - c * x + w) with a = dt (beta -
+gamma) and c = dt beta per interval; simulate_sde scales its normals in
+place to w = sigma * sqrt(dt) * z, and the noiseless callers add w = 0.0.
 simulate_sde with sigma=0 is the noiseless Euler recursion at any sub-step
 count bit for bit, and at one sub-step it reproduces simulate_dt sample for
 sample.  All stochastic draws come from numpy's PCG64 generator seeded
@@ -71,8 +74,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "fine_substeps", int(self.fine_substeps))
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:  # NaN fails too
+            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
         if self.fine_substeps < 1:
             raise ValueError(f"fine_substeps must be >= 1, got {self.fine_substeps}")
 
@@ -114,7 +117,6 @@ def _recurse(
     x0: float,
     *,
     substeps: int = 1,
-    sigma: float = 0.0,
     noise: Sequence[float] | None = None,
     check: bool = True,
 ) -> tuple[np.ndarray, int]:
@@ -122,11 +124,15 @@ def _recurse(
 
     A release sample applies the jump rule alone, through _apply_jump with
     `check` (False for raw estimates).  Each interval's ordinary samples are
-    one flat run of len(sis_index_range(i)) * substeps steps x <- x + dt *
-    (beta (1 - x) x - gamma x), dt = h / substeps, at the interval's rates.
-    With `noise`, the run consumes the interval's slice of draws in order:
-    each step also adds sigma * x * sqrt(dt) * z (pre-step x, its draw z)
-    and floors the result at zero, counting each floor in clamps.
+    one flat run of len(sis_index_range(i)) * substeps steps
+
+        x <- x + x * (a - c * x + w),   a = dt (beta - gamma),  c = dt beta,
+
+    dt = h / substeps, which is x + dt * (beta (1 - x) x - gamma x) + w x
+    factored so that a step costs five float operations.  Without `noise`,
+    w = 0.0, and adding 0.0 is exact.  With `noise`, the already scaled
+    increments w = sigma * sqrt(dt) * z are consumed in order, one per step,
+    and each step floors the result at zero, counting each floor in clamps.
 
     The run yields every state, and x0 and each release state are yielded
     `substeps` times, so every sample is `substeps` consecutive states; the
@@ -138,25 +144,21 @@ def _recurse(
     def states():
         nonlocal clamps
         dt = schedule.step_size / substeps
-        sqrt_dt = math.sqrt(dt)
         draws = None if noise is None else iter(noise)
+        floor = draws is not None
         x = float(x0)
         yield from repeat(x, substeps)
         for i, p in enumerate(intervals):
             if i > 0:
                 x = _apply_jump(x, p.alpha, i, check)
                 yield from repeat(x, substeps)
-            b, g = p.beta, p.gamma
+            a, c = dt * (p.beta - p.gamma), dt * p.beta
             n = len(schedule.sis_index_range(i)) * substeps
-            for z in repeat(None, n) if draws is None else islice(draws, n):
-                x_flow = x + dt * (b * (1.0 - x) * x - g * x)
-                if z is None:
-                    x = x_flow
-                else:
-                    x = x_flow + sigma * x * sqrt_dt * z
-                    if x < 0.0:
-                        x = 0.0
-                        clamps += 1
+            for w in repeat(0.0, n) if draws is None else islice(draws, n):
+                x = x + x * (a - c * x + w)
+                if x < 0.0 and floor:
+                    x = 0.0
+                    clamps += 1
                 yield x
 
     kept = islice(states(), substeps - 1, None, substeps)
@@ -232,10 +234,12 @@ def simulate_sde(
 
         x <- x + dt * (beta (1 - x) x - gamma x) + sigma * x * sqrt(dt) * z
 
-    with z standard normal.  Zero is absorbing for the noiseless flow, so any
-    excursion below zero is clamped back to zero and counted in the returned
-    trajectory's clamp_count.  With sigma = 0 the noise term vanishes and the
-    output is the noiseless Euler recursion bit for bit, which at one
+    with z standard normal, evaluated as x + x * (a - c * x + w) (see
+    _recurse) once the batch of normals is scaled in place to the increments
+    w = sigma * sqrt(dt) * z.  Zero is absorbing for the noiseless flow, so
+    any excursion below zero is clamped back to zero and counted in the
+    returned trajectory's clamp_count.  With sigma = 0 every w is zero and
+    the output is the noiseless Euler recursion bit for bit, which at one
     sub-step equals simulate_dt.
     """
     if config is None:
@@ -245,8 +249,9 @@ def simulate_sde(
     sub = config.fine_substeps
     rng = np.random.Generator(np.random.PCG64(config.seed))
     # one batch, consumed in simulation order; every step but a release flows
-    noise = memoryview(rng.standard_normal((sched.final_step - sched.n_updates) * sub))
-    xs, clamps = _recurse(sched, spec.intervals, x, substeps=sub, sigma=config.sigma, noise=noise)
+    noise = rng.standard_normal((sched.final_step - sched.n_updates) * sub)
+    noise *= config.sigma * math.sqrt(sched.step_size / sub)  # in place: no second array
+    xs, clamps = _recurse(sched, spec.intervals, x, substeps=sub, noise=memoryview(noise))
     return Trajectory(values=xs, step_size=sched.step_size, clamp_count=clamps)
 
 
@@ -257,8 +262,8 @@ def add_observation_noise(traj: Trajectory, sigma: float, seed: int) -> Trajecto
     on the returned trajectory.  Equal seeds give equal noise.
     """
     sigma = float(sigma)
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
     rng = np.random.Generator(np.random.PCG64(seed))
     noisy = traj.values + sigma * rng.standard_normal(len(traj))
     clipped = np.clip(noisy, 0.0, 1.0)

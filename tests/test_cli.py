@@ -340,6 +340,27 @@ def test_fit_rejects_count_beyond_int64(tmp_path, capsys):
     assert err == f"error: {data}:6: count 9223372036854775808 exceeds the int64 maximum\n"
 
 
+@pytest.mark.parametrize("population", [2**53 + 1, 10**29])
+def test_fit_rejects_a_population_above_2_53(tmp_path, capsys, population):
+    data, updates, _ = fit_fixture(tmp_path)
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(data), "--updates", str(updates),
+        "--population", str(population),
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: population must be at most 2**53, got {population}\n"
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_simulate_rejects_a_non_finite_sigma(tmp_path, capsys, sigma):
+    code, out, err = run_cli(
+        capsys, "simulate", "--scenario", str(SCENARIO_PATH), "--mode", "sde",
+        "--sigma", sigma, "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: sigma must be finite and non-negative, got {sigma}\n"
+
+
 def test_fit_rejects_a_missing_day_at_its_line(tmp_path, capsys):
     data, updates, start = fit_fixture(tmp_path)
     lines = data.read_text().splitlines()

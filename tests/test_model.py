@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from hybridsis import (
     HybridModelSpec,
     IntervalParams,
     Scenario,
+    SimulationConfig,
     Trajectory,
     UpdateSchedule,
+    add_observation_noise,
     load_scenario,
     load_schedule,
     parameter_names,
@@ -155,6 +159,39 @@ def test_spec_validation():
         HybridModelSpec(
             sched, (good[0], IntervalParams(alpha=-1.5, beta=0.3, gamma=0.1))
         )
+
+
+def _spec_with(**rates):
+    # interval 1 of a two-interval spec takes the given rates
+    rates = {"alpha": 0.5, "beta": 0.3, "gamma": 0.1, **rates}
+    return HybridModelSpec(
+        UpdateSchedule((3,), 6, 1.0), (IntervalParams(beta=0.5, gamma=0.2), IntervalParams(**rates))
+    )
+
+
+_STEP, _RATES, _SIGMA = (
+    r"^step size must be positive and finite, got {}$",
+    r"^interval 1: rates must be finite and non-negative, got ",
+    r"^sigma must be finite and non-negative, got {}$",
+)
+# hand-built inputs with a non-finite field, and the message each must raise
+_NON_FINITE = {
+    "schedule_step": (lambda v: UpdateSchedule((3,), 6, v), _STEP),
+    "trajectory_step": (lambda v: Trajectory([0.1, 0.2], step_size=v), _STEP),
+    "beta": (lambda v: _spec_with(beta=v), _RATES),
+    "gamma": (lambda v: _spec_with(gamma=v), _RATES),
+    "alpha": (lambda v: _spec_with(alpha=v), r"^interval 1: alpha must be finite and >= -1, got {}$"),
+    "sde_sigma": (lambda v: SimulationConfig(sigma=v), _SIGMA),
+    "observation_sigma": (lambda v: add_observation_noise(Trajectory([0.1, 0.2], 1.0), v, 0), _SIGMA),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", list(_NON_FINITE))
+def test_hand_built_inputs_reject_non_finite_values(field, value):
+    build, message = _NON_FINITE[field]
+    with pytest.raises(ValueError, match=message.format(re.escape(str(value)))):
+        build(value)
 
 
 def test_spec_theta_roundtrip(demo_scenario):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import decimal
 import hashlib
 import io
 import json
@@ -35,6 +36,7 @@ from hybridsis.cli import main
 from hybridsis.estimate import forecast
 
 from conftest import SCENARIO_PATH
+from test_acceptance import random_identifiable_scenarios
 
 # Closed-form values for the bundled demo under the shared release-step
 # convention: 29 flowed units, release, 59 flowed units, release.  Computed
@@ -287,6 +289,92 @@ def test_sde_zero_is_absorbing_and_counted():
     assert np.all(v[first_zero:] == 0.0)
 
 
+def _walk(spec, x0, step, substeps=1, draws=(), num=float):
+    """The sampled Euler recursion written sample by sample: a release sample
+    is (1 + num(alpha)) x alone, any other runs `substeps` calls of
+    step(x, p, d), each taking the next of `draws` (None once they run out)."""
+    releases = dict(zip(spec.schedule.update_steps, spec.intervals[1:]))
+    draws = iter(draws)
+    p, x, xs = spec.intervals[0], x0, [x0]
+    for k in range(1, spec.schedule.final_step + 1):
+        if k in releases:
+            p = releases[k]
+            x = (1 + num(p.alpha)) * x
+        else:
+            for _ in range(substeps):
+                x = step(x, p, next(draws, None))
+        xs.append(x)
+    return xs
+
+
+def _expanded_step(dt, sigma):
+    """The reference step in expanded form: x + dt (beta (1 - x) x - gamma x),
+    plus sigma x sqrt(dt) z and a floor at zero when a draw z is given."""
+    sqrt_dt = math.sqrt(dt)
+
+    def step(x, p, z):
+        x_flow = x + dt * (p.beta * (1.0 - x) * x - p.gamma * x)
+        if z is None:
+            return x_flow
+        x = x_flow + sigma * x * sqrt_dt * z
+        return 0.0 if x < 0.0 else x
+
+    return step
+
+
+def _decimal_walk(spec, x0, increments=None):
+    """The Euler recursion at one sub-step in 70-digit decimal arithmetic from
+    the same doubles: x + h (beta (1 - x) x - gamma x) + x w, w the increments."""
+    D = decimal.Decimal
+    h = D(spec.schedule.step_size)
+
+    def step(x, p, w):
+        b, g = D(p.beta), D(p.gamma)
+        x = x + h * (b * (1 - x) * x - g * x) + (0 if w is None else x * D(w))
+        return max(x, D(0))
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 70
+        return _walk(spec, D(x0), step, draws=() if increments is None else increments, num=D)
+
+
+def _worst_rel(values, exact):
+    return max(float(abs(decimal.Decimal(v) - e) / e) for v, e in zip(values.tolist(), exact) if e)
+
+
+def test_factored_step_matches_decimal_euler():
+    # the dt path on criterion 1's 50 scenarios
+    worst = 0.0
+    for spec, system in random_identifiable_scenarios(20260818, 50):
+        exact = _decimal_walk(spec, float(system.x[0]))
+        worst = max(worst, _worst_rel(system.x, exact))
+    assert worst <= 3e-15
+
+    # one noisy path, given the same scaled increments
+    spec = single_interval(0.5, 0.2, 400, h=0.1)
+    w = np.random.Generator(np.random.PCG64(8)).standard_normal(400) * (0.05 * math.sqrt(0.1))
+    traj = simulate_sde(spec, 0.05, SimulationConfig(seed=8, sigma=0.05))
+    exact = _decimal_walk(spec, 0.05, w.tolist())
+    assert traj.clamp_count == 0
+    assert _worst_rel(traj.values, exact) <= 3e-15
+
+
+def test_factored_step_matches_expanded_step(demo_scenario):
+    spec = demo_scenario.spec
+    dt_traj = simulate_dt(spec, demo_scenario.x0)
+    ref = np.array(_walk(spec, demo_scenario.x0, _expanded_step(1.0, 0.0)))
+    np.testing.assert_allclose(dt_traj.values, ref, rtol=1e-13, atol=0)
+
+    # the study's finest grid: h = 0.02 with 10 sub-steps, 74,980 flow steps
+    fine = HybridModelSpec(UpdateSchedule((1500, 4500), 7500, 0.02), spec.intervals)
+    cfg = SimulationConfig(seed=3, sigma=0.02, fine_substeps=10)
+    traj = simulate_sde(fine, demo_scenario.x0, cfg)
+    z = np.random.Generator(np.random.PCG64(3)).standard_normal((7500 - 2) * 10)
+    ref = _walk(fine, demo_scenario.x0, _expanded_step(0.02 / 10, 0.02), 10, z.tolist())
+    assert traj.clamp_count == 0
+    np.testing.assert_allclose(traj.values, np.array(ref), rtol=1e-12, atol=0)
+
+
 def _study_digests(tmp_path, plan_fields):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(plan_fields))
@@ -341,39 +429,38 @@ def _recursion_case(name, scenario, tmp_path):
 
 
 # sha256 of the output values and the clamp count of each kernel caller,
-# recorded with the nested samples x sub-steps loop that the flat per-interval
-# run replaced, which must reproduce them bit for bit; the study entries pin
-# their params.csv, r0.csv and summary.json instead
+# recorded with the factored step x + x * (a - c * x + w) and the increments
+# w scaled in place per batch, which round differently from the expanded step
+# (test_factored_step_matches_expanded_step bounds the difference); the study
+# entries pin their params.csv, r0.csv and summary.json instead
 RECURSION_GOLDEN = {
-    "dt": ("c02be2301863c31caa4ca0810cdccabddbcf02869d9407449b1875028eff8cd0", 0),
-    "sde-0.0-1": ("c02be2301863c31caa4ca0810cdccabddbcf02869d9407449b1875028eff8cd0", 0),
-    "sde-0.0-3": ("8e7ee190e5aa7b44c77a0ecb4914cf5b6f2a2e59aceb8d868b5f29dadd9207dd", 0),
-    "sde-0.0-5": ("bc296e131dbc5fc4887e00e06986df14f64404238432275bac33ef13af5ed69f", 0),
-    "sde-0.05-1": ("08eeb93a70eef25a4674869bf8c4593bc6d7b0c34f61d223ad8f5efeff258717", 0),
-    "sde-0.05-3": ("834100d7a2bb88d5e02e360f85cae63a17e6f8d8ed507808da38391e1a2807d0", 0),
-    "sde-0.05-5": ("da44182f0f2eced2aeedda222381ba47039f62486fcb7b93da3f5e03ae834a00", 0),
-    "sde-0.7-1": ("06fb5ba32fb5cf48045f42d82633481c8c0604aa35eafe335133089dcab3277a", 1),
-    "sde-0.7-3": ("48b0134c2a62ece2f1f43a9950b65ec5095fb683a9770c1e2c11ffa3d07b37b2", 1),
-    "sde-0.7-5": ("511afbb3b7b5d80a1ce413bba32c332210729b1db32fb96e220bd2c6efe0e1b5", 1),
-    "sde_back_to_back": ("33d21d27045d5547ddfc02b83b40b9b26c4848c193b0440e8f6930951e9c5510", 0),
-    "raw_refit": ("e6db0d2e02670f99c83dfb1959f7a0e9d35b770aefb1bd3709cafcd96f592742", 0),
+    "dt": ("db70d47c3034beaa169f82eb370e075d36e0fce035bb695159d076f65ef1e498", 0),
+    "sde-0.0-1": ("db70d47c3034beaa169f82eb370e075d36e0fce035bb695159d076f65ef1e498", 0),
+    "sde-0.0-3": ("f7fdbd43a2edd6e1c696e605d8adb5f0c978df7d094c7f9321e78a495c67f987", 0),
+    "sde-0.0-5": ("aacdb1df0a9bcc51aab151ef5c50430e5a54652cae0763a0b785bb4897abbb80", 0),
+    "sde-0.05-1": ("b8723b1aef6d3ca34dac0098777e66d9c0a175b6d550b90d6c8d0689ac20add8", 0),
+    "sde-0.05-3": ("d718e6a7d068f47566555daf71bafce5ccc78de3ebefe763d16cf34193da1fbf", 0),
+    "sde-0.05-5": ("7fcf0279af1e0ad63008e4fe555ae3effe2a0073e7ab6f1b75e1602bf4301459", 0),
+    "sde-0.7-1": ("3cd7bb8ff36db1f81a1737d35f779112035a3712ef9d6f6657d1bf6e40531a22", 1),
+    "sde-0.7-3": ("7e400762d918852494734844a018ffb64e52f8bc4a329fa3e1ba59ea575725ae", 1),
+    "sde-0.7-5": ("ea4170ea8a2f7d63d4ab09ad22c2c0f060e22b193c6f20faaaaf72896a201c71", 1),
+    "sde_back_to_back": ("708c82c6dfb9a75ce57c91e464b870559b42dac906bf6e18003c41b135912f4d", 0),
+    "raw_refit": ("e3bffa3736ef7ffdae2a402a177abcd77fb7c26872a510993bca36dea7828160", 0),
     # release at step 30 inside the window
     "forecast-25-10": ("c1bc2e5490b44d8d2b255be38b9648ca075964ca86e064abefa684642416b331", 0),
     # release at step 90 on the last sample
-    "forecast-80-10": ("82a19ddeb7967f54158eabc77d046eff02a64b2fa479bb0042ff914e651473bd", 0),
+    "forecast-80-10": ("1de2ae57324cd70e33a62dda9dc217b773172b27436576b34accc683945c01f6", 0),
     # past the schedule's end
-    "forecast-140-30": ("60d35c2bc253a4ad6f6e929bc0da4beae4885722700b79b366eed6a4ef9390fa", 0),
-    # re-recorded with the batched block QR solve, which moves the estimates
-    # by at most about 1e-14 relative against the per-block lstsq solve
+    "forecast-140-30": ("81628f95170d89259fbad622157265de01f7543aa56229f7b0bf65de83e863e0", 0),
     "study_4_trials": [
-        "a700f4f5ab5d3f32752441045269c77b7b75bcb5742ed11bc73667ef96771595",
-        "a4f4daf306ae3c05c9124dd9af5ea321645e38382b6d60507b92d587d6c8db06",
-        "a9e4b3e473a7d9ca016d225cb976e3b370567f5260efabc44338a8875f72c768",
+        "e32dbc3649164a1cc1b1ebd824576f8a62ce49f73ab6e58c3bcbeaec56f3a145",
+        "ed2f2575f3ac474ef72889dcc663b81a7e614749e14f2af1c554ddc4ffa7bc4d",
+        "a4a3d7b314ba011fddd80dc8943cd0c7bd52d851c217f56f1d4e39eeea380229",
     ],
     "study_failed_cells": [
-        "75bf3adc50b270d488622f20902845f4c724b08f1cac71cc07034a981c43484a",
-        "0f3a6deb24eb9a99b00bdfab20aecdc7a81680fdd9f34f36011736e3170e37ec",
-        "244bd5fa079bf7844b118849439785e92b97afd684205cee44ca9c7af7fdce9d",
+        "74512a4ebe2fb23657a9b660e70309bf37b413912edadc15b96b0e5541acb954",
+        "e90f531e5916daebce66fd91d3b48a1c06589ad4a8bf6597dec22367190d0d3e",
+        "2af5358cd55ee17795070cbb04eb7ee0c828c4278f1b962451acaa39acff2d11",
     ],
 }
 
