@@ -38,7 +38,6 @@ from .experiments import load_plan, run_noise_study, run_realdata_study
 from .ingest import align, load_series, load_update_dates
 from .model import load_scenario, load_schedule
 from .simulate import (
-    SimulationConfig,
     read_trajectory_csv,
     simulate_ct,
     simulate_dt,
@@ -115,8 +114,7 @@ def _cmd_simulate(args, argv: list[str]) -> int:
     elif args.mode == "ct":
         traj = simulate_ct(spec, scenario.x0)
     else:
-        cfg = SimulationConfig(seed=seed, sigma=args.sigma, fine_substeps=args.substeps)
-        traj = simulate_sde(spec, scenario.x0, cfg)
+        traj = simulate_sde(spec, scenario.x0, seed=seed, sigma=args.sigma, substeps=args.substeps)
     if scenario.population is not None:
         traj = dataclasses.replace(traj, population=scenario.population)
     out = Path(args.out)
@@ -199,10 +197,6 @@ def _cmd_forecast(args, argv: list[str]) -> int:
 def _cmd_study(args, argv: list[str]) -> int:
     started = time.time()
     plan = load_plan(args.plan)
-    if args.trials is not None:
-        plan = dataclasses.replace(plan, trials=args.trials)
-    if args.seed is not None:
-        plan = dataclasses.replace(plan, seed=args.seed)
     result = run_noise_study(plan)
     out_dir = Path(args.out_dir)
     paths = result.write(out_dir)
@@ -278,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("study", help="run a sweep plan and write result tables")
     p.add_argument("--plan", required=True, help="study plan JSON")
     p.add_argument("--out-dir", required=True, help="directory for result tables")
-    p.add_argument("--trials", type=int, help="override the plan's trial count")
-    p.add_argument("--seed", type=int, help="override the plan's base seed")
     p.set_defaults(func=_cmd_study)
 
     return parser

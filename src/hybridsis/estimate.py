@@ -402,14 +402,8 @@ def error_metrics(result: EstimationResult, truth: HybridModelSpec) -> dict:
     }
 
 
-def forecast(
-    spec: HybridModelSpec,
-    x_start: float,
-    horizon: int,
-    *,
-    start_step: int = 0,
-) -> Trajectory:
-    """Run the sampled model forward from x_start at sample index start_step.
+def forecast(spec: HybridModelSpec, x_start: float, horizon: int) -> Trajectory:
+    """Run the sampled model forward from x_start at sample 0 of its schedule.
 
     Scheduled releases inside the horizon apply their alpha; no release is
     ever invented past the schedule.  Beyond final_step the last interval's
@@ -418,20 +412,14 @@ def forecast(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if start_step < 0:
-        raise ValueError(f"start_step must be >= 0, got {start_step}")
     if not 0.0 <= x_start <= 1.0:
         raise ValueError(f"x_start must lie in [0, 1], got {x_start}")
     sched = spec.schedule
-    h = sched.step_size
-    # the recursion on the window shifted to start_step; the extra sample
-    # keeps a release on the last forecast sample a valid schedule
-    first = bisect.bisect_right(sched.update_steps, start_step)
-    last = bisect.bisect_right(sched.update_steps, start_step + horizon)
+    # the recursion on the first horizon + 1 steps; the extra sample keeps a
+    # release on the last forecast sample a valid schedule
+    last = bisect.bisect_right(sched.update_steps, horizon)
     window = UpdateSchedule(
-        update_steps=tuple(t - start_step for t in sched.update_steps[first:last]),
-        final_step=horizon + 1,
-        step_size=h,
+        update_steps=sched.update_steps[:last], final_step=horizon + 1, step_size=sched.step_size
     )
-    values, _ = _recurse(window, spec.intervals[first : last + 1], x_start, check=False)
-    return Trajectory(values=values[:-1], step_size=h)
+    values, _ = _recurse(window, spec.intervals[: last + 1], x_start, check=False)
+    return Trajectory(values=values[:-1], step_size=sched.step_size)

@@ -53,7 +53,7 @@ from .model import (
     scenario_to_dict,
     theta_unpack,
 )
-from .simulate import SimulationConfig, _recurse, add_observation_noise, simulate_ct, simulate_sde
+from .simulate import _recurse, add_observation_noise, simulate_ct, simulate_sde
 
 __all__ = [
     "REGIMES",
@@ -364,12 +364,8 @@ def run_noise_study(plan: ExperimentPlan) -> NoiseStudyResult:
         for trial in range(1 if regime == "noiseless" else plan.trials):
             master = clean_master
             if regime == "process":  # one stochastic path per trial, shared by every h
-                cfg = SimulationConfig(
-                    seed=derive_seed(plan.seed, "process", trial),
-                    sigma=plan.sigma,
-                    fine_substeps=1,
-                )
-                master = simulate_sde(master_spec, x0, cfg)
+                seed = derive_seed(plan.seed, "process", trial)
+                master = simulate_sde(master_spec, x0, seed=seed, sigma=plan.sigma)
             for cell in regime_cells:
                 sched_h, stride = per_h[cell.h]
                 traj = master.subsample(stride, cell.h)

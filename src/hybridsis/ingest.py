@@ -150,15 +150,17 @@ def load_update_dates(path: str | Path) -> tuple[dt.date, ...]:
 
 
 def _smooth_weekly(counts: np.ndarray) -> np.ndarray:
-    """Centered 7-day moving average, window shrinking near the edges."""
-    x = counts.astype(float)
-    out = np.empty_like(x)
-    n = x.size
-    for j in range(n):
-        lo = max(0, j - 3)
-        hi = min(n, j + 4)
-        out[j] = x[lo:hi].mean()
-    return out
+    """Centered 7-day moving average, window shrinking near the edges: seven
+    shifted adds over a zero-padded copy, in window order, over the number of
+    days inside each window."""
+    n = counts.size
+    padded, inside = np.zeros(n + 6), np.zeros(n + 6)
+    padded[3:-3], inside[3:-3] = counts, 1.0
+    total, width = np.zeros(n), np.zeros(n)
+    for k in range(7):  # day j - 3 + k of day j's window
+        total += padded[k : k + n]
+        width += inside[k : k + n]
+    return total / width
 
 
 @dataclass(frozen=True)

@@ -92,9 +92,9 @@ class UpdateSchedule:
     step_size: float
 
     def __post_init__(self) -> None:
-        steps = tuple(int(t) for t in self.update_steps)
+        steps = tuple(_number(t, "update step", int) for t in self.update_steps)
         object.__setattr__(self, "update_steps", steps)
-        object.__setattr__(self, "final_step", int(self.final_step))
+        object.__setattr__(self, "final_step", _number(self.final_step, "final step", int))
         object.__setattr__(self, "step_size", float(self.step_size))
         if not 0.0 < self.step_size < math.inf:  # NaN fails too
             raise ValueError(f"step size must be positive and finite, got {self.step_size}")
@@ -232,7 +232,7 @@ class Trajectory:
 
     The value array is copied and frozen on construction; NaN and infinity
     are rejected.  population, when set, gives the unit scale for converting
-    shares to user counts.
+    shares to user counts, at most 2**53 as in Scenario.
     clamp_count records how many samples a producing routine had to clamp
     back into range (noise injection, SDE floor at zero).
     """
@@ -257,10 +257,7 @@ class Trajectory:
         if not 0.0 < self.step_size < math.inf:
             raise ValueError(f"step size must be positive and finite, got {self.step_size}")
         if self.population is not None:
-            pop = int(self.population)
-            if pop <= 0:
-                raise ValueError(f"population must be positive, got {pop}")
-            object.__setattr__(self, "population", pop)
+            object.__setattr__(self, "population", _check_population(self.population))
         object.__setattr__(self, "clamp_count", int(self.clamp_count))
 
     def __len__(self) -> int:

@@ -16,9 +16,9 @@ releases:
                 one step per sample.
   simulate_ct   the continuous SIS flow.  With fixed rates it is logistic,
                 so it evaluates the closed form at every sample.
-  simulate_sde  the Euler recursion, fine_substeps steps of size
-                h / fine_substeps per sample, plus multiplicative demand
-                noise sigma * x * sqrt(dt) * z per sub-step, floored at zero.
+  simulate_sde  the Euler recursion, substeps steps of size h / substeps
+                per sample, plus multiplicative demand noise
+                sigma * x * sqrt(dt) * z per sub-step, floored at zero.
 
 The recursion is written once, in _recurse; simulate_dt, simulate_sde,
 estimate.forecast and the real-data refits are all calls to it.  It
@@ -37,7 +37,6 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice, repeat
 from pathlib import Path
@@ -48,7 +47,6 @@ import numpy as np
 from .model import HybridModelSpec, IntervalParams, Trajectory, UpdateSchedule
 
 __all__ = [
-    "SimulationConfig",
     "StabilityWarning",
     "simulate_dt",
     "simulate_ct",
@@ -61,23 +59,6 @@ __all__ = [
 
 class StabilityWarning(UserWarning):
     """Step size large enough that the sampled recursion can oscillate."""
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """The seed, noise scale and sub-step count of simulate_sde."""
-
-    seed: int = 0
-    sigma: float = 0.0
-    fine_substeps: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "fine_substeps", int(self.fine_substeps))
-        if not 0.0 <= self.sigma < math.inf:  # NaN fails too
-            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
-        if self.fine_substeps < 1:
-            raise ValueError(f"fine_substeps must be >= 1, got {self.fine_substeps}")
 
 
 def _check_start(x0: float) -> float:
@@ -226,7 +207,10 @@ def simulate_ct(spec: HybridModelSpec, x0: float) -> Trajectory:
 def simulate_sde(
     spec: HybridModelSpec,
     x0: float,
-    config: SimulationConfig | None = None,
+    *,
+    seed: int = 0,
+    sigma: float = 0.0,
+    substeps: int = 1,
 ) -> Trajectory:
     """Euler-Maruyama path of the SIS flow with multiplicative demand noise.
 
@@ -240,18 +224,21 @@ def simulate_sde(
     any excursion below zero is clamped back to zero and counted in the
     returned trajectory's clamp_count.  With sigma = 0 every w is zero and
     the output is the noiseless Euler recursion bit for bit, which at one
-    sub-step equals simulate_dt.
+    sub-step equals simulate_dt.  seed seeds the PCG64 generator, substeps
+    is the number of Euler steps per sample.
     """
-    if config is None:
-        config = SimulationConfig()
+    sigma, substeps = float(sigma), int(substeps)
+    if not 0.0 <= sigma < math.inf:  # NaN fails too
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
+    if substeps < 1:
+        raise ValueError(f"substeps must be >= 1, got {substeps}")
     x = _check_start(x0)
     sched = spec.schedule
-    sub = config.fine_substeps
-    rng = np.random.Generator(np.random.PCG64(config.seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
     # one batch, consumed in simulation order; every step but a release flows
-    noise = rng.standard_normal((sched.final_step - sched.n_updates) * sub)
-    noise *= config.sigma * math.sqrt(sched.step_size / sub)  # in place: no second array
-    xs, clamps = _recurse(sched, spec.intervals, x, substeps=sub, noise=memoryview(noise))
+    noise = rng.standard_normal((sched.final_step - sched.n_updates) * substeps)
+    noise *= sigma * math.sqrt(sched.step_size / substeps)  # in place: no second array
+    xs, clamps = _recurse(sched, spec.intervals, x, substeps=substeps, noise=memoryview(noise))
     return Trajectory(values=xs, step_size=sched.step_size, clamp_count=clamps)
 
 

@@ -19,7 +19,6 @@ from hybridsis import (
     ExperimentPlan,
     HybridModelSpec,
     IntervalParams,
-    SimulationConfig,
     Trajectory,
     UpdateSchedule,
     align,
@@ -264,8 +263,7 @@ def test_zero_noise_path_equals_euler_path(demo_scenario):
     x0 = demo_scenario.x0
     same = True
     for sub in (1, 5):
-        noisy_cfg = SimulationConfig(seed=123, sigma=0.0, fine_substeps=sub)
-        a = simulate_sde(spec, x0, noisy_cfg)
+        a = simulate_sde(spec, x0, seed=123, sigma=0.0, substeps=sub)
         b, _ = _recurse(spec.schedule, spec.intervals, x0, substeps=sub)
         same = same and bool(np.array_equal(a.values, b))
     report(same, "criterion 7 (zero-noise collapse): sigma=0 stochastic path is "

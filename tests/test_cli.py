@@ -361,6 +361,15 @@ def test_simulate_rejects_a_non_finite_sigma(tmp_path, capsys, sigma):
     assert err == f"error: sigma must be finite and non-negative, got {sigma}\n"
 
 
+def test_simulate_rejects_zero_substeps_by_their_name(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--scenario", str(SCENARIO_PATH), "--mode", "sde",
+        "--substeps", "0", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: substeps must be >= 1, got 0\n"
+
+
 def test_fit_rejects_a_missing_day_at_its_line(tmp_path, capsys):
     data, updates, start = fit_fixture(tmp_path)
     lines = data.read_text().splitlines()
@@ -501,6 +510,7 @@ def write_plan(tmp_path):
         "regimes": ["noiseless", "observation"],
         "h_values": [1.0, 0.5],
         "trials": 2,
+        "seed": 7,
         "fine_substeps": 2,
     }
     path = tmp_path / "plan.json"
@@ -519,6 +529,7 @@ def test_study_end_to_end_and_reruns_identically(tmp_path, capsys):
 
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["subcommand"] == "study"
+    assert manifest["seed"] == 7  # the plan file is the one place that sets it
     assert len(manifest["outputs"]) == 3
     for path_str, digest in manifest["outputs"].items():
         assert sha256(Path(path_str)) == digest
@@ -530,12 +541,15 @@ def test_study_end_to_end_and_reruns_identically(tmp_path, capsys):
 
 
 def test_study_cli_overrides(tmp_path, capsys):
+    # the plan file is the one place that sets a study's trials and seed
     plan = write_plan(tmp_path)
+    plan.write_text(json.dumps({**json.loads(plan.read_text()), "trials": 1}))
+    for flag, value in (("--trials", "3"), ("--seed", "8")):
+        assert run_cli(capsys, "study", "--plan", str(plan), "--out-dir",
+                       str(tmp_path / "rejected"), flag, value)[0] == 2
+    assert not (tmp_path / "rejected").exists()
     out_dir = tmp_path / "study"
-    code, _, _ = run_cli(
-        capsys, "study", "--plan", str(plan), "--out-dir", str(out_dir),
-        "--trials", "1", "--seed", "7",
-    )
+    code, _, _ = run_cli(capsys, "study", "--plan", str(plan), "--out-dir", str(out_dir))
     assert code == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["trials"] == 1

@@ -1,3 +1,4 @@
+import bisect
 import warnings
 
 import numpy as np
@@ -435,6 +436,38 @@ def test_forecast_reproduces_dt_run(demo_scenario):
 
 
 @pytest.mark.parametrize(
+    "horizon",
+    [
+        5,
+        30,  # the release at 30 lands on the last forecast sample
+        31,  # one flow step after it
+        89,
+        90,  # the release at 90 on the last sample, the one at 30 inside
+    ],
+)
+def test_forecast_is_a_prefix_of_the_dt_run(demo_scenario, horizon):
+    spec = demo_scenario.spec
+    dt_traj = simulate_dt(spec, demo_scenario.x0)
+    fc = forecast(spec, demo_scenario.x0, horizon)
+    assert np.array_equal(fc.values, dt_traj.values[: horizon + 1])
+
+
+def _from_sample(spec, start):
+    """spec renumbered so that sample `start` is sample 0: the releases after
+    it and the intervals from the one open at it, whose release (if any) has
+    already happened and so carries no alpha."""
+    sched = spec.schedule
+    first = bisect.bisect_right(sched.update_steps, start)
+    shifted = UpdateSchedule(
+        tuple(t - start for t in sched.update_steps[first:]),
+        sched.final_step - start,
+        sched.step_size,
+    )
+    opening = IntervalParams(beta=spec.intervals[first].beta, gamma=spec.intervals[first].gamma)
+    return HybridModelSpec(shifted, (opening, *spec.intervals[first + 1 :]))
+
+
+@pytest.mark.parametrize(
     "start_step, horizon",
     [
         (0, 150),
@@ -445,9 +478,11 @@ def test_forecast_reproduces_dt_run(demo_scenario):
     ],
 )
 def test_forecast_mid_schedule_start(demo_scenario, start_step, horizon):
+    # a forecast from a later sample runs on the schedule renumbered from it
     spec = demo_scenario.spec
     dt_traj = simulate_dt(spec, demo_scenario.x0)
-    fc = forecast(spec, float(dt_traj.values[start_step]), horizon, start_step=start_step)
+    tail = _from_sample(spec, start_step)
+    fc = forecast(tail, float(dt_traj.values[start_step]), horizon)
     assert np.array_equal(fc.values, dt_traj.values[start_step : start_step + horizon + 1])
 
 
@@ -465,5 +500,3 @@ def test_forecast_validation(demo_scenario):
         forecast(spec, 0.5, 0)
     with pytest.raises(ValueError):
         forecast(spec, 1.5, 3)
-    with pytest.raises(ValueError):
-        forecast(spec, 0.5, 3, start_step=-1)

@@ -415,6 +415,23 @@ def test_align_rejections(tmp_path):
         align(series, [update], population=1000, window=(START, START))
 
 
+def _smooth_weekly_loop(counts):
+    """The per-day loop _smooth_weekly replaced: the mean of each shrinking
+    centered window."""
+    x = counts.astype(float)
+    n = x.size
+    return np.array([x[max(0, j - 3) : min(n, j + 4)].mean() for j in range(n)])
+
+
+def test_smooth_weekly_equals_the_per_day_loop_bitwise():
+    rng = np.random.Generator(np.random.PCG64(41))
+    cases = [rng.integers(0, 10**6, n) for n in range(1, 101)]
+    cases.append(rng.integers(0, 10**6, 1461))  # four years of days
+    for counts in cases:
+        got = hybridsis.ingest._smooth_weekly(counts.astype(float))
+        assert got.tobytes() == _smooth_weekly_loop(counts).tobytes(), counts.size
+
+
 def test_align_smooth7(tmp_path):
     counts = [100, 200, 100, 200, 100, 200, 100, 200, 100, 200, 100]
     series = make_series(tmp_path, counts)

@@ -12,7 +12,6 @@ from hybridsis import (
     HybridModelSpec,
     IntervalParams,
     Scenario,
-    SimulationConfig,
     Trajectory,
     UpdateSchedule,
     add_observation_noise,
@@ -20,6 +19,7 @@ from hybridsis import (
     load_schedule,
     parameter_names,
     reproduction_number,
+    simulate_sde,
     theta_pack,
     theta_unpack,
 )
@@ -181,7 +181,7 @@ _NON_FINITE = {
     "beta": (lambda v: _spec_with(beta=v), _RATES),
     "gamma": (lambda v: _spec_with(gamma=v), _RATES),
     "alpha": (lambda v: _spec_with(alpha=v), r"^interval 1: alpha must be finite and >= -1, got {}$"),
-    "sde_sigma": (lambda v: SimulationConfig(sigma=v), _SIGMA),
+    "sde_sigma": (lambda v: simulate_sde(_spec_with(), 0.1, sigma=v), _SIGMA),
     "observation_sigma": (lambda v: add_observation_noise(Trajectory([0.1, 0.2], 1.0), v, 0), _SIGMA),
 }
 
@@ -192,6 +192,37 @@ def test_hand_built_inputs_reject_non_finite_values(field, value):
     build, message = _NON_FINITE[field]
     with pytest.raises(ValueError, match=message.format(re.escape(str(value)))):
         build(value)
+
+
+# hand-built inputs with a finite value out of range, and the message each must raise
+_OUT_OF_RANGE = {
+    # a population of 10**30 would scale shares to counts beyond int64
+    "trajectory_population": (
+        lambda: Trajectory([0.5, 0.25], step_size=1.0, population=10**30),
+        r"^population must be at most 2\*\*53, got 10{30}$",
+    ),
+    "schedule_fractional_update_step": (
+        lambda: UpdateSchedule(update_steps=(2.7,), final_step=6, step_size=1.0),
+        r"^update step must be an integer, got 2\.7$",
+    ),
+    "schedule_fractional_final_step": (
+        lambda: UpdateSchedule(update_steps=(2,), final_step=5.9, step_size=1.0),
+        r"^final step must be an integer, got 5\.9$",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", list(_OUT_OF_RANGE))
+def test_hand_built_inputs_reject_out_of_range_values(field):
+    build, message = _OUT_OF_RANGE[field]
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_schedule_takes_integral_floats_and_numpy_ints():
+    sched = UpdateSchedule(update_steps=(2.0, np.int64(3)), final_step=np.float64(5.0), step_size=1)
+    assert sched.update_steps == (2, 3) and sched.final_step == 5
+    assert all(type(t) is int for t in (*sched.update_steps, sched.final_step))
 
 
 def test_spec_theta_roundtrip(demo_scenario):

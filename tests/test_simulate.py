@@ -21,7 +21,6 @@ import hybridsis.simulate
 from hybridsis import (
     HybridModelSpec,
     IntervalParams,
-    SimulationConfig,
     StabilityWarning,
     Trajectory,
     UpdateSchedule,
@@ -144,7 +143,7 @@ def test_release_escape_policies():
     [
         simulate_dt,
         simulate_ct,
-        partial(simulate_sde, config=SimulationConfig(sigma=0.01, fine_substeps=2)),
+        partial(simulate_sde, sigma=0.01, substeps=2),
     ],
     ids=["dt", "ct_exact", "sde"],
 )
@@ -224,7 +223,7 @@ def test_ct_euler_converges_to_exact_flow():
     spec = single_interval(0.9, 0.3, 20)
     exact = simulate_ct(spec, 0.1).values
     errs = [
-        np.max(np.abs(simulate_sde(spec, 0.1, SimulationConfig(fine_substeps=sub)).values - exact))
+        np.max(np.abs(simulate_sde(spec, 0.1, substeps=sub).values - exact))
         for sub in (1, 2, 4)
     ]
     # order one: halving the sub-step halves the error
@@ -234,24 +233,24 @@ def test_ct_euler_converges_to_exact_flow():
 def test_ct_euler_one_substep_equals_dt(demo_scenario):
     spec = demo_scenario.spec
     dt_traj = simulate_dt(spec, demo_scenario.x0)
-    euler = simulate_sde(spec, demo_scenario.x0, SimulationConfig(fine_substeps=1))
+    euler = simulate_sde(spec, demo_scenario.x0, substeps=1)
     assert np.array_equal(dt_traj.values, euler.values)
 
 
 def test_simulation_config_validation():
+    spec = single_interval(0.5, 0.2, 5)
+    with pytest.raises(ValueError, match=r"^sigma must be finite and non-negative, got -0\.1$"):
+        simulate_sde(spec, 0.1, sigma=-0.1)
+    with pytest.raises(ValueError, match=r"^substeps must be >= 1, got 0$"):
+        simulate_sde(spec, 0.1, substeps=0)
     with pytest.raises(ValueError):
-        SimulationConfig(sigma=-0.1)
-    with pytest.raises(ValueError):
-        SimulationConfig(fine_substeps=0)
-    with pytest.raises(ValueError):
-        simulate_ct(single_interval(0.5, 0.2, 5), 1.2)
+        simulate_ct(spec, 1.2)
 
 
 def test_sde_zero_sigma_equals_euler_ct(demo_scenario):
     spec = demo_scenario.spec
     for sub in (1, 3):
-        cfg = SimulationConfig(sigma=0.0, fine_substeps=sub, seed=5)
-        sde = simulate_sde(spec, demo_scenario.x0, cfg)
+        sde = simulate_sde(spec, demo_scenario.x0, seed=5, sigma=0.0, substeps=sub)
         euler, _ = hybridsis.simulate._recurse(
             spec.schedule, spec.intervals, demo_scenario.x0, substeps=sub
         )
@@ -260,9 +259,9 @@ def test_sde_zero_sigma_equals_euler_ct(demo_scenario):
 
 def test_sde_seed_determinism(demo_scenario):
     spec = demo_scenario.spec
-    a = simulate_sde(spec, 0.05, SimulationConfig(seed=3, sigma=0.02))
-    b = simulate_sde(spec, 0.05, SimulationConfig(seed=3, sigma=0.02))
-    c = simulate_sde(spec, 0.05, SimulationConfig(seed=4, sigma=0.02))
+    a = simulate_sde(spec, 0.05, seed=3, sigma=0.02)
+    b = simulate_sde(spec, 0.05, seed=3, sigma=0.02)
+    c = simulate_sde(spec, 0.05, seed=4, sigma=0.02)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
 
@@ -271,7 +270,7 @@ def test_sde_noise_term_is_standard_normal():
     # with both rates zero the path is x_{k+1} = x_k (1 + sigma sqrt(h) z_k),
     # so the driving draws can be recovered and checked
     spec = single_interval(0.0, 0.0, 2000)
-    traj = simulate_sde(spec, 0.5, SimulationConfig(seed=7, sigma=0.01))
+    traj = simulate_sde(spec, 0.5, seed=7, sigma=0.01)
     v = traj.values
     z = (v[1:] / v[:-1] - 1.0) / 0.01
     assert abs(z.mean()) < 0.1
@@ -281,7 +280,7 @@ def test_sde_noise_term_is_standard_normal():
 
 def test_sde_zero_is_absorbing_and_counted():
     spec = single_interval(0.0, 0.0, 200)
-    traj = simulate_sde(spec, 0.5, SimulationConfig(seed=1, sigma=0.8))
+    traj = simulate_sde(spec, 0.5, seed=1, sigma=0.8)
     v = traj.values
     assert traj.clamp_count >= 1
     assert v.min() == 0.0
@@ -353,7 +352,7 @@ def test_factored_step_matches_decimal_euler():
     # one noisy path, given the same scaled increments
     spec = single_interval(0.5, 0.2, 400, h=0.1)
     w = np.random.Generator(np.random.PCG64(8)).standard_normal(400) * (0.05 * math.sqrt(0.1))
-    traj = simulate_sde(spec, 0.05, SimulationConfig(seed=8, sigma=0.05))
+    traj = simulate_sde(spec, 0.05, seed=8, sigma=0.05)
     exact = _decimal_walk(spec, 0.05, w.tolist())
     assert traj.clamp_count == 0
     assert _worst_rel(traj.values, exact) <= 3e-15
@@ -367,8 +366,7 @@ def test_factored_step_matches_expanded_step(demo_scenario):
 
     # the study's finest grid: h = 0.02 with 10 sub-steps, 74,980 flow steps
     fine = HybridModelSpec(UpdateSchedule((1500, 4500), 7500, 0.02), spec.intervals)
-    cfg = SimulationConfig(seed=3, sigma=0.02, fine_substeps=10)
-    traj = simulate_sde(fine, demo_scenario.x0, cfg)
+    traj = simulate_sde(fine, demo_scenario.x0, seed=3, sigma=0.02, substeps=10)
     z = np.random.Generator(np.random.PCG64(3)).standard_normal((7500 - 2) * 10)
     ref = _walk(fine, demo_scenario.x0, _expanded_step(0.02 / 10, 0.02), 10, z.tolist())
     assert traj.clamp_count == 0
@@ -403,15 +401,14 @@ def _recursion_case(name, scenario, tmp_path):
     if kind == "dt":
         traj = simulate_dt(spec, x0)
     elif kind == "sde":
-        cfg = SimulationConfig(seed=1, sigma=float(arg[0]), fine_substeps=int(arg[1]))
-        traj = simulate_sde(spec, x0, cfg)
+        traj = simulate_sde(spec, x0, seed=1, sigma=float(arg[0]), substeps=int(arg[1]))
     elif kind == "sde_back_to_back":
         # releases on steps 1, 2 and 3 leave two intervals with no flow step
         intervals = [IntervalParams(beta=0.6, gamma=0.2)] + [
             IntervalParams(alpha=a, beta=0.5, gamma=0.1) for a in (0.5, -0.2, 0.1)
         ]
         spec = HybridModelSpec(UpdateSchedule((1, 2, 3), 12, 0.5), tuple(intervals))
-        traj = simulate_sde(spec, 0.2, SimulationConfig(seed=4, sigma=0.3, fine_substeps=3))
+        traj = simulate_sde(spec, 0.2, seed=4, sigma=0.3, substeps=3)
     elif kind == "raw_refit":
         # negative raw estimates: the unpoliced recursion overflows to inf
         sched = UpdateSchedule((10, 20), 30, 1.0)
@@ -423,8 +420,8 @@ def _recursion_case(name, scenario, tmp_path):
         values, clamps = hybridsis.simulate._recurse(sched, intervals, 0.05, check=False)
         assert values[-1] == math.inf
         return hashlib.sha256(values.tobytes()).hexdigest(), clamps
-    else:  # forecast-<start step>-<horizon>
-        traj = forecast(spec, 0.3, int(arg[1]), start_step=int(arg[0]))
+    else:  # forecast-<horizon>
+        traj = forecast(spec, 0.3, int(arg[0]))
     return hashlib.sha256(traj.values.tobytes()).hexdigest(), traj.clamp_count
 
 
@@ -447,11 +444,11 @@ RECURSION_GOLDEN = {
     "sde_back_to_back": ("708c82c6dfb9a75ce57c91e464b870559b42dac906bf6e18003c41b135912f4d", 0),
     "raw_refit": ("e3bffa3736ef7ffdae2a402a177abcd77fb7c26872a510993bca36dea7828160", 0),
     # release at step 30 inside the window
-    "forecast-25-10": ("c1bc2e5490b44d8d2b255be38b9648ca075964ca86e064abefa684642416b331", 0),
+    "forecast-35": ("6c5811135ad9227717bb8bc24f1acd098ae87278498b7bd7096269b41a6e849e", 0),
     # release at step 90 on the last sample
-    "forecast-80-10": ("1de2ae57324cd70e33a62dda9dc217b773172b27436576b34accc683945c01f6", 0),
+    "forecast-90": ("258f9b5140126d7056fbf10ffa430eebded4076b8efcf47e8f584a32c8fa0696", 0),
     # past the schedule's end
-    "forecast-140-30": ("81628f95170d89259fbad622157265de01f7543aa56229f7b0bf65de83e863e0", 0),
+    "forecast-180": ("35b905cf5cc7b4f8d69d4dee4841b6fea24c3778c1d27abd1ef64b5fd3380edc", 0),
     "study_4_trials": [
         "e32dbc3649164a1cc1b1ebd824576f8a62ce49f73ab6e58c3bcbeaec56f3a145",
         "ed2f2575f3ac474ef72889dcc663b81a7e614749e14f2af1c554ddc4ffa7bc4d",
