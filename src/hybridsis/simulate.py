@@ -263,32 +263,163 @@ def add_observation_noise(traj: Trajectory, sigma: float, seed: int) -> Trajecto
     )
 
 
-_WRITE_CHUNK = 8192  # rows per fh.write: bounds the transient strings
+_WRITE_CHUNK = 2048  # rows formatted and written at a time: bounds the working set
+
+# Rows are laid out as uint32 words, each holding up to four ASCII bytes
+# padded with NUL, and joined by deleting every NUL.  A number takes one word
+# per 4-digit group, so a field is as wide as its block's largest value needs.
+
+
+def _group_words() -> np.ndarray:
+    """The ASCII word of every 4-digit group q, rendered four ways: from 0,
+    all four digits; from _LEAD, leading zeros as NUL (so 0 is all NUL);
+    from _LAST, the same but 0 is "0"; from _TRAIL, trailing zeros as NUL."""
+    q = np.arange(10_000)[:, None]
+    tens = 10 ** np.arange(3, -1, -1)
+    digits = (q // tens % 10 + ord("0")).astype(np.uint8)
+    lead = q >= tens
+    keep = [np.ones_like(lead), lead, lead | (tens == 1), q % (10 * tens) != 0]
+    return np.concatenate([np.where(k, digits, 0).view(np.uint32).ravel() for k in keep])
+
+
+def _words(*strings: str) -> np.ndarray:
+    return np.frombuffer("".join(s.ljust(4, "\0") for s in strings).encode("ascii"), np.uint32)
+
+
+_GROUPS = _group_words()
+_LEAD, _LAST, _TRAIL = 10_000, 20_000, 30_000
+_POINT = _words("", ".", ".0", ".00", ".000")  # a point and the zeros after it
+_MINUS, _COMMA, _NEWLINE = _words("-", ",", "\n")
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
+_POW10 = 10.0 ** np.arange(23)  # exact doubles up to 1e22
+_POW10_HIGH = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)  # their Veltkamp high halves
+
+
+def _leading_words(n: np.ndarray) -> list:
+    """str(n) for int64 n >= 0: one word per 4-digit group, up to the group
+    of the largest n, leading zeros as NUL."""
+    words, mode = [], _LAST  # the last group shows 0 as "0"
+    while True:
+        rest = n // 10_000
+        top = rest == 0  # no digit above this group
+        words.append(_GROUPS[n - rest * 10_000 + top * mode])
+        if top.all():
+            return words[::-1]
+        n, mode = rest, _LEAD
+
+
+def _fallback(words: list, rows: np.ndarray, spec: str, values: list) -> None:
+    """Write spec % value over the words of each row in rows, adding NUL
+    words to fit.  The % operator pads with spaces, in one call for all
+    rows, and no number contains a space, so they become NUL."""
+    while 4 * len(words) < 24:  # len("-1.2345678901234567e-308") > len(str(-2**63))
+        words.append(np.zeros_like(words[0]))
+    text = (f"%-{4 * len(words)}{spec}" * len(values)) % tuple(values)
+    joined = np.frombuffer(text.encode("ascii"), np.uint8).copy()
+    joined[joined == ord(" ")] = 0
+    for word, column in zip(words, joined.view(np.uint32).reshape(len(rows), -1).T):
+        word[rows] = column
+
+
+def _int_words(k: np.ndarray) -> list:
+    """str(k) for int64 k, as words; a negative k is formatted by %d."""
+    fast = k >= 0
+    words = _leading_words(np.where(fast, k, 0))
+    if not fast.all():
+        rows = np.flatnonzero(~fast)
+        _fallback(words, rows, "d", k[rows].tolist())
+    return words
+
+
+def _float_words(v: np.ndarray) -> list:
+    """format(v, ".17g") for float64 v, as words.
+
+    For 1e-4 <= |v| < 1e16, .17g is fixed-point with 17 significant digits,
+    the integer D = round(|v| * 10**p) with p = 16 - floor(log10 |v|),
+    rounded half to even as Python's dtoa rounds.  10**p is exact and
+    |v| * 10**p is formed exactly as hi + lo (Dekker's two-product), so D is
+    exact.  log10 is only a guess at the exponent: a value whose exact
+    product is not in [1e16, 1e17), or whose D carries to 1e17, is formatted
+    by "%.17g" itself, as is every other value but 0.0 and -0.0.
+    """
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a = np.where(fast, a, 1.0)  # keeps the arithmetic below finite and exact
+    p = 16 - np.floor(np.log10(a)).astype(np.intp)
+    b, bh = _POW10[p], _POW10_HIGH[p]
+    bl = b - bh
+    hi = a * b
+    t = a * _SPLIT
+    ah = t - (t - a)
+    al = a - ah
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl  # hi + lo == a * b exactly
+    # hi >= 1e16 > 2**53 is an even integer, so rint(lo) rounds hi + lo half to even
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    fast &= ((hi - 1e16) + lo >= 0.0) & (d < 10**17)  # the sign of the exact a * b - 1e16
+    d = np.where(fast, d, 0)  # every other value is laid out as 0, then overwritten
+    fast |= v == 0.0
+    # |v| = d * 10**-p: integer part i, then the fraction as 17 digits g
+    div = _POW10_INT[np.minimum(p, 17)]
+    i = d // div
+    g = (d - i * div) * _POW10_INT[np.maximum(17 - p, 0)]
+    top = g // 10**16
+    r = g - top * 10**16
+    frac, zeros_after = [], True
+    for _ in range(4):
+        rest = r // 10_000
+        q = r - rest * 10_000
+        frac.append(_GROUPS[q + zeros_after * _TRAIL])
+        zeros_after = zeros_after & (q == 0)
+        r = rest
+    nonzero = g != 0
+    words = _leading_words(i) + [
+        _POINT[nonzero * np.maximum(p - 16, 1)],
+        np.where(nonzero, _GROUPS[_LAST + top], 0),
+        *frac[::-1],
+    ]
+    negative = np.signbit(v)
+    if negative.any():
+        words.insert(0, np.where(negative, _MINUS, 0))
+    if not fast.all():
+        rows = np.flatnonzero(~fast)
+        _fallback(words, rows, ".17g", v[rows].tolist())
+    return words
+
+
+def _join_rows(fields: list) -> str:
+    """CSV text of the rows whose fields (lists of words) are given."""
+    words = [word for field in fields for word in field + [_COMMA]]
+    words[-1] = _NEWLINE
+    out = np.empty((len(words), fields[0][0].size), np.uint32)
+    for row, word in zip(out, words):
+        row[...] = word
+    return out.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _write_trajectory_rows(traj: Trajectory, fh) -> None:
     counts = traj.to_counts() if traj.population is not None else None
-    head, row = "step,time,x", "{},{:.17g},{:.17g}"
-    if counts is not None:
-        head, row = head + ",count", row + ",{}"
-    fh.write(head + "\n")
-    fmt = (row + "\n").format
+    fh.write("step,time,x" + (",count" if counts is not None else "") + "\n")
     n = len(traj)
     for a in range(0, n, _WRITE_CHUNK):
         b = min(a + _WRITE_CHUNK, n)
+        step = np.arange(a, b)
         # int64 * float64 is the same IEEE product as Python's k * h
-        cols = [range(a, b), (np.arange(a, b) * traj.step_size).tolist(), traj.values[a:b].tolist()]
+        fields = [_int_words(step), _float_words(step * traj.step_size), _float_words(traj.values[a:b])]
         if counts is not None:
-            cols.append(counts[a:b].tolist())
-        fh.write("".join(map(fmt, *cols)))
+            fields.append(_int_words(counts[a:b]))
+        fh.write(_join_rows(fields))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write step,time,x rows, plus a count column when a population is set.
 
     path may be a filesystem path or an open text stream.  Every row is
-    "{k},{k*h:.17g},{x:.17g}": 17 significant digits round-trip a double
-    exactly.  Rows are formatted a chunk at a time.
+    "{k},{k*h:.17g},{x:.17g}[,{count}]": 17 significant digits round-trip a
+    double exactly.  The digits are computed in numpy, _WRITE_CHUNK rows at
+    a time, and the bytes are those of Python's format(): a float outside
+    1e-4 <= |v| < 1e16 (other than 0.0 and -0.0) or a negative count is
+    formatted by the % operator itself.
     """
     if hasattr(path, "write"):
         _write_trajectory_rows(traj, path)

@@ -1,5 +1,6 @@
 import datetime as dt
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -20,8 +21,10 @@ from hybridsis import (
     write_trajectory_csv,
 )
 from hybridsis.cli import build_parser, main
+from hybridsis.estimate import forecast
 
 from conftest import SCENARIO_PATH
+from test_simulate import write_rows_loop
 
 
 def run_cli(capsys, *argv):
@@ -284,6 +287,25 @@ def test_forecast_prints_trajectory(tmp_path, capsys):
     e1 = 0.5 + 1.0 * (0.5 * (1.0 - 0.5) * 0.5 - 0.2 * 0.5)
     e2 = e1 + 1.0 * (0.5 * (1.0 - e1) * e1 - 0.2 * e1)
     assert xs == [0.5, e1, e2]
+
+
+def test_forecast_stdout_matches_the_row_loop_past_the_unit_interval(tmp_path, capsys):
+    # raw rates that overshoot 1, then swing negative and blow up past 1e16
+    params = tmp_path / "raw.json"
+    params.write_text(json.dumps({
+        "h": 1.0, "update_steps": [3], "final_step": 10, "x0": 0.5,
+        "intervals": [{"beta": 3.5, "gamma": 0.1}, {"alpha": -0.5, "beta": 3.5, "gamma": 0.1}],
+    }))
+    code, out, err = run_cli(
+        capsys, "forecast", "--params", str(params), "--x0", "0.5", "--horizon", "9"
+    )
+    assert code == 0 and err == ""
+    traj = forecast(load_scenario(params).spec, 0.5, 9)
+    assert traj.values.min() < 0.0 < 1.0 < traj.values.max()
+    assert np.abs(traj.values).max() >= 1e16
+    expected = io.StringIO()
+    write_rows_loop(traj, expected)
+    assert out == expected.getvalue()
 
 
 def fit_fixture(tmp_path, population=1_000_000):

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -34,7 +36,7 @@ from hybridsis import (
 from hybridsis.cli import main
 from hybridsis.estimate import forecast
 
-from conftest import SCENARIO_PATH
+from conftest import ROOT, SCENARIO_PATH
 from test_acceptance import random_identifiable_scenarios
 
 # Closed-form values for the bundled demo under the shared release-step
@@ -567,7 +569,7 @@ WRITER_GOLDEN = [
     ids=[f"n{n}-{'count' if p else 'bare'}-digits17" for n, p, _ in WRITER_GOLDEN],
 )
 def test_write_trajectory_csv_bytes_are_pinned(tmp_path, monkeypatch, chunk, n, population, sha):
-    assert hybridsis.simulate._WRITE_CHUNK == 8192
+    assert hybridsis.simulate._WRITE_CHUNK == 2048
     monkeypatch.setattr(hybridsis.simulate, "_WRITE_CHUNK", chunk)
     traj = golden_trajectory(n, population)
     path = tmp_path / "g.csv"
@@ -576,6 +578,93 @@ def test_write_trajectory_csv_bytes_are_pinned(tmp_path, monkeypatch, chunk, n, 
     buf = io.StringIO()
     write_trajectory_csv(traj, buf)
     assert buf.getvalue().encode() == path.read_bytes()
+
+
+def write_rows_loop(traj, fh):
+    """The writer's former row loop, one bound format call per row: the
+    reference that the numpy formatter must match byte for byte."""
+    head, row = "step,time,x", "{},{:.17g},{:.17g}"
+    cols = [range(len(traj)), (np.arange(len(traj)) * traj.step_size).tolist(), traj.values.tolist()]
+    if traj.population is not None:
+        head, row = head + ",count", row + ",{}"
+        cols.append(traj.to_counts().tolist())
+    fh.write(head + "\n" + "".join(map((row + "\n").format, *cols)))
+
+
+def formatted(words):
+    """The strings of one field laid out by the writer, one per row."""
+    return hybridsis.simulate._join_rows([words]).split("\n")[:-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_float_field_equals_format_17g(values):
+    words = hybridsis.simulate._float_words(np.array(values, dtype=float))
+    assert formatted(words) == [format(v, ".17g") for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
+def test_int_field_equals_str(values):
+    words = hybridsis.simulate._int_words(np.array(values, dtype=np.int64))
+    assert formatted(words) == [str(k) for k in values]
+
+
+def _float_edges():
+    edges = [0.0, -0.0, 5e-324, 2.2250738585072009e-308]
+    for k in range(-6, 18):
+        p = float(f"1e{k}")
+        edges += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    # exact ties 1 + k * 2**-17, 17 digits plus a trailing 5: rounded half to even
+    edges += [1.0 + k * 2.0**-17 for k in range(1, 2**17, 2)]
+    edges = np.array(edges, dtype=float)
+    return np.concatenate([edges, -edges])
+
+
+def test_fields_match_format_on_the_edge_corpus():
+    v = _float_edges()
+    assert 1.00000762939453125 in v
+    assert formatted(hybridsis.simulate._float_words(v)) == [format(x, ".17g") for x in v.tolist()]
+    k = [0, 1, 2**53, 2**63 - 1, -(2**63)] + [10**j - 1 for j in range(1, 19)] + [10**j for j in range(19)]
+    k += [-x for x in k[1:4]]
+    assert formatted(hybridsis.simulate._int_words(np.array(k, dtype=np.int64))) == list(map(str, k))
+
+
+def _edge_trajectories():
+    rng = np.random.default_rng(15)
+    raw = np.array([0.5, -0.25, 1.5, 3e16, -7e20, 5e-5, -3e-7, 5e-324, -0.0, 0.0, 1e-4, 12345.678])
+    raw = np.concatenate([raw, rng.choice(raw, 5000) * rng.random(5000)])
+    counted = np.array([-0.5, 1023.0, 0.3, -1000.0, 1e-9, 0.0, 1.0])
+    counted = np.concatenate([counted, rng.choice(counted, 5000)])
+    return {
+        "raw_forecast": Trajectory(values=raw, step_size=0.37),
+        "absorbed": Trajectory(values=np.zeros(5000), step_size=0.01, population=1_000_003),
+        "long_counts": Trajectory(values=counted, step_size=1.0, population=2**53),
+    }
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("name", list(_edge_trajectories()))
+def test_writer_matches_the_row_loop(monkeypatch, chunk, name):
+    if chunk is not None:
+        monkeypatch.setattr(hybridsis.simulate, "_WRITE_CHUNK", chunk)
+    traj = _edge_trajectories()[name]
+    got, want = io.StringIO(), io.StringIO()
+    write_trajectory_csv(traj, got)
+    write_rows_loop(traj, want)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_csv_write_bench_runs_at_toy_size(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(ROOT / "bench" / "csv_write.py"), "--reps", "1",
+                    "--sizes", "50,60", "--out", str(out), f"here={ROOT / 'src'}"], check=True)
+    report = json.loads(out.read_text())
+    assert sorted(report["cells"]) == sorted(
+        f"n={n},{case}" for n in (50, 60) for case in ("bare", "count", "count,zeros", "count,below_1e-4")
+    )
+    assert all(set(cell) == {"here"} for cell in report["cells"].values())
+    assert set(report["env"]) >= {"python", "numpy", "nproc"}
 
 
 shares = st.one_of(
