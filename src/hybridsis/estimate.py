@@ -195,8 +195,12 @@ def build_regression(traj: Trajectory, schedule: UpdateSchedule) -> RegressionSy
     y = np.diff(x[: n_rows + 1])
     xk = x[:n_rows]
     psi = np.zeros((n_rows, 3), dtype=float)
-    psi[:, 1] = h * (1.0 - xk) * xk
-    psi[:, 2] = -h * xk
+    # in place, the products of h * (1 - xk) * xk and -h * xk in their order
+    flow = psi[:, 1]
+    np.subtract(1.0, xk, out=flow)
+    flow *= h
+    flow *= xk
+    np.multiply(-h, xk, out=psi[:, 2])
     # release rows hold the pre-release share in column 0 only
     release_rows = [t - 1 for t in schedule.update_steps]
     psi[release_rows, 0] = xk[release_rows]

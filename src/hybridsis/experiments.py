@@ -192,9 +192,10 @@ def _rel_errors(true: np.ndarray, hats: np.ndarray) -> np.ndarray:
 
 
 def _median_max(errs: np.ndarray, labels) -> dict:
-    """Per-column median and max of a trials x k error matrix."""
+    """Per-column median and max of a trials x k error matrix; a non-finite
+    one (an interval whose true R0 is infinite) is None, JSON null."""
     return {
-        label: {"median": float(med), "max": float(mx)}
+        label: {"median": _json_float(float(med)), "max": _json_float(float(mx))}
         for label, med, mx in zip(labels, np.median(errs, axis=0), errs.max(axis=0))
     }
 
@@ -319,7 +320,7 @@ class NoiseStudyResult:
 
         p = out / "summary.json"
         with open(p, "w", encoding="utf-8") as fh:
-            json.dump(self.summary(), fh, indent=2)
+            json.dump(self.summary(), fh, indent=2, allow_nan=False)
             fh.write("\n")
         paths.append(p)
         return paths

@@ -268,10 +268,19 @@ class Trajectory:
         return int(self.values.size) - 1
 
     def to_counts(self) -> np.ndarray:
-        """Share values scaled to rounded user counts.  Requires population."""
+        """Share values scaled to rounded user counts.  Requires population,
+        and every rounded count must lie within int64."""
         if self.population is None:
             raise ValueError("trajectory has no population scale")
-        return np.rint(self.values * self.population).astype(np.int64)
+        counts = self.values * self.population
+        np.rint(counts, out=counts)
+        if counts.min() < -(2.0**63) or counts.max() >= 2.0**63:
+            k = int(np.argmax((counts < -(2.0**63)) | (counts >= 2.0**63)))
+            raise ValueError(
+                f"count {float(counts[k])!r} at index {k} lies outside int64 "
+                f"(share {float(self.values[k])!r} times population {self.population})"
+            )
+        return counts.astype(np.int64)
 
     def subsample(self, stride: int, step_size: float) -> "Trajectory":
         """Every stride-th sample, on the coarse step step_size (exact, where

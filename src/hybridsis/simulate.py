@@ -446,14 +446,22 @@ def _grid_step(path, times: Sequence[float], linenos: Sequence[int]) -> float:
     if h <= 0.0:
         raise ValueError(f"{path}: non-positive step size {h}")
     t = np.asarray(times)
-    grid = np.arange(t.size) * h
+    # |t - k*h| <= 1e-9 * max(1, |t|, |k*h|) in two buffers; k*h >= 0 is its own |k*h|
+    grid = np.arange(t.size, dtype=float)
+    grid *= h
+    bound = np.abs(t)
+    np.maximum(bound, grid, out=bound)
+    np.maximum(bound, 1.0, out=bound)
+    bound *= 1e-9
+    np.subtract(t, grid, out=grid)
+    np.abs(grid, out=grid)
     # written as "not within" so that a NaN time is off the grid too
-    off = ~(np.abs(t - grid) <= 1e-9 * np.maximum(1.0, np.maximum(np.abs(t), np.abs(grid))))
+    off = ~(grid <= bound)
     if off.any():
         k = int(np.argmax(off))
         raise ValueError(
             f"{path}:{linenos[k]}: time {times[k]!r} is off the even grid "
-            f"k*h = {float(grid[k])!r} (h = {h!r} from the first two rows)"
+            f"k*h = {float(k * h)!r} (h = {h!r} from the first two rows)"
         )
     return h
 

@@ -19,6 +19,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def forbid_row_loop(monkeypatch, module) -> None:
+    """Make module's CSV reads fail if they reach the line-by-line row loop,
+    so a test can show that a file was accepted by the C parser alone."""
+    read_csv = module._read_csv
+
+    def c_parser_only(path, check_header, dtype, parse, row_loop, usecols=None):
+        def row_loop_reached(reader):
+            raise AssertionError(f"{path} reached the row loop")
+
+        return read_csv(path, check_header, dtype, parse, row_loop_reached, usecols)
+
+    monkeypatch.setattr(module, "_read_csv", c_parser_only)
+
+
 @pytest.fixture(scope="session")
 def demo_scenario() -> Scenario:
     """The bundled two-release demo: h=1, releases at steps 30 and 90,

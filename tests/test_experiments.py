@@ -174,6 +174,27 @@ def test_result_tables_and_summary(tmp_path, demo_scenario):
     assert loaded["seed"] == plan.seed
 
 
+def test_summary_json_is_strict_when_a_true_r0_is_infinite(tmp_path, demo_scenario):
+    # gamma = 0 is a valid rate, so interval 1's true R0 is infinite and its
+    # relative R0 error is NaN: summary.json writes null, never a bare NaN
+    intervals = list(demo_scenario.spec.intervals)
+    intervals[1] = dataclasses.replace(intervals[1], gamma=0.0)
+    scenario = Scenario(spec=HybridModelSpec(demo_scenario.spec.schedule, tuple(intervals)),
+                        x0=demo_scenario.x0)
+    plan = small_plan(scenario, regimes=("noiseless",), trials=2)
+    paths = run_noise_study(plan).write(tmp_path)
+
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+    assert tmp_path / "summary.json" in paths
+    for cell in summary["cells"]:
+        assert cell["r0_rel_error"]["interval_1"] == {"median": None, "max": None}
+        assert all(isinstance(e["max"], float) for key, e in cell["r0_rel_error"].items()
+                   if key != "interval_1")
+
+
 def synthetic_dataset(population=1_000_000):
     sched = UpdateSchedule((30, 70), 120, 1.0)
     spec = HybridModelSpec(

@@ -16,6 +16,8 @@ from hybridsis import (
 )
 from hybridsis.ingest import RawSeries
 
+from conftest import forbid_row_loop
+
 START = dt.date(2024, 3, 1)
 
 
@@ -319,10 +321,22 @@ def test_load_series_parses_clean_files_in_c(tmp_path, monkeypatch):
         return accepted[-1]
 
     monkeypatch.setattr(hybridsis.ingest, "_parse_series", recording_parse)
+    forbid_row_loop(monkeypatch, hybridsis.ingest)
     p = tmp_path / "s.csv"
     write_csv(p, daily_rows(range(100, 140)))
     series = load_series(p)
     assert isinstance(accepted[0], RawSeries)
+    assert series.start == START
+    np.testing.assert_array_equal(series.counts, range(100, 140))
+
+
+def test_load_series_parses_a_two_line_header_in_c(tmp_path, monkeypatch):
+    # the C parser reads the body from where the csv module left the
+    # handle, here after a quoted header field with a line break in it
+    forbid_row_loop(monkeypatch, hybridsis.ingest)
+    p = tmp_path / "s.csv"
+    write_csv(p, daily_rows(range(100, 140)), header='date,"peak_players\n"')
+    series = load_series(p)
     assert series.start == START
     np.testing.assert_array_equal(series.counts, range(100, 140))
 

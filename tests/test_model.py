@@ -267,6 +267,19 @@ def test_trajectory_counts_and_times():
         bare.to_counts()
 
 
+def test_trajectory_counts_outside_int64_raise():
+    # 2e3 * 2**53 rounds to about 1.8e19, past the int64 maximum
+    traj = Trajectory(values=[0.5, 2e3], step_size=1.0, population=2**53)
+    with pytest.raises(ValueError, match=r"index 1 lies outside int64"):
+        traj.to_counts()
+    # -2**63 = -1024 * 2**53 itself is an int64; the next double below it is not
+    low = Trajectory(values=[-1024.0, -1024.0 * (1 + 2.0**-52)], step_size=1.0, population=2**53)
+    with pytest.raises(ValueError, match=r"index 1 lies outside int64"):
+        low.to_counts()
+    edge = Trajectory(values=[-1024.0, 1023.0], step_size=1.0, population=2**53)
+    np.testing.assert_array_equal(edge.to_counts(), [-(2**63), 1023 * 2**53])
+
+
 def test_trajectory_subsample():
     traj = Trajectory(values=np.linspace(0, 1, 11), step_size=0.5, population=100)
     sub = traj.subsample(5, 2.0)  # the passed step wins over 5 * 0.5

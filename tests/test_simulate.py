@@ -36,7 +36,7 @@ from hybridsis import (
 from hybridsis.cli import main
 from hybridsis.estimate import forecast
 
-from conftest import ROOT, SCENARIO_PATH
+from conftest import ROOT, SCENARIO_PATH, forbid_row_loop
 from test_acceptance import random_identifiable_scenarios
 
 # Closed-form values for the bundled demo under the shared release-step
@@ -655,15 +655,18 @@ def test_writer_matches_the_row_loop(monkeypatch, chunk, name):
     assert got.getvalue() == want.getvalue()
 
 
-def test_csv_write_bench_runs_at_toy_size(tmp_path):
+def test_csv_io_bench_runs_at_toy_size(tmp_path):
     out = tmp_path / "bench.json"
-    subprocess.run([sys.executable, str(ROOT / "bench" / "csv_write.py"), "--reps", "1",
+    subprocess.run([sys.executable, str(ROOT / "bench" / "csv_io.py"), "--reps", "1",
                     "--sizes", "50,60", "--out", str(out), f"here={ROOT / 'src'}"], check=True)
     report = json.loads(out.read_text())
-    assert sorted(report["cells"]) == sorted(
-        f"n={n},{case}" for n in (50, 60) for case in ("bare", "count", "count,zeros", "count,below_1e-4")
-    )
+    want = [f"write,n={n},{case}" for n in (50, 60)
+            for case in ("bare", "count", "count,zeros", "count,below_1e-4")]
+    want += [f"read,n={n},{case}" for n in (50, 60) for case in ("bare", "count")]
+    assert sorted(report["cells"]) == sorted(report["peak_mib"]) == sorted(want)
     assert all(set(cell) == {"here"} for cell in report["cells"].values())
+    assert all(set(cell) == {"here"} and cell["here"] > 0 for cell in report["peak_mib"].values())
+    assert set(report) == {"layer", "unit", "statistic", "cells", "peak_mib", "env"}
     assert set(report["env"]) >= {"python", "numpy", "nproc"}
 
 
@@ -801,6 +804,21 @@ def test_read_trajectory_csv_diagnostics_corpus(tmp_path, name):
     else:
         message = detail.replace("{path}", str(path)).replace("{grid}", repr(2.0))
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("header", [HEADER, b'step,time,"x\n"\n'], ids=["clean", "two_line_header"])
+def test_read_trajectory_csv_parses_clean_files_in_c(tmp_path, monkeypatch, header):
+    # a clean file never reaches the row loop: the C parser reads the body
+    # from where the csv module left the handle, after every header line
+    forbid_row_loop(monkeypatch, hybridsis.simulate)
+    traj = Trajectory(values=np.linspace(0.1, 0.9, 500), step_size=0.01)
+    text = io.StringIO()
+    write_trajectory_csv(traj, text)
+    path = tmp_path / "t.csv"
+    path.write_bytes(header + text.getvalue().encode()[len(HEADER):])
+    back = read_trajectory_csv(path)
+    assert back.values.tobytes() == traj.values.tobytes()
+    assert back.step_size == 0.01
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
