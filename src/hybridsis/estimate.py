@@ -16,9 +16,10 @@ Block 0 holds interval 0's ordinary rows in the trailing two columns; block
 i >= 1 holds interval i's release row and ordinary rows in all three.  The
 theta columns of block i are model.theta_slice(i).
 
-Ordinary rows of interval i cover k = T_i .. T_{i+1} - 2, except that the
-last interval keeps its tail and runs through final_step - 1 (the range is
-produced by UpdateSchedule.sis_index_range, which owns that asymmetry).
+The ordinary rows of interval i are k in [start, stop), row i of
+UpdateSchedule.bounds, which owns the asymmetry: k = T_i .. T_{i+1} - 2,
+except that the last interval keeps its tail through final_step - 1.
+Block i is its release row start - 1 (i >= 1), then its ordinary rows.
 
 A block is uniquely solvable exactly when
   * it has at least 2 ordinary rows (3-column blocks also need their release
@@ -96,12 +97,6 @@ class RankDeficiencyWarning(UserWarning):
     """A regression block was numerically rank deficient."""
 
 
-def _width(i: int) -> int:
-    """Theta columns of interval i's block, and so the rank it needs."""
-    cols = theta_slice(i)
-    return cols.stop - cols.start
-
-
 @dataclass(frozen=True)
 class RegressionSystem:
     """y and the compact (final_step, 3) Psi described in the module notes,
@@ -112,63 +107,64 @@ class RegressionSystem:
     y: np.ndarray
     psi: np.ndarray
 
-    def block_rows(self, i: int) -> range:
-        """Rows of interval i's block: its release row (i >= 1), then its
-        ordinary rows, which may be none."""
-        ks = self.schedule.sis_index_range(i)
-        return range(ks.start - 1 if i else 0, ks.stop)
-
     @cached_property
     def solution(self) -> "BlockSolution":
-        """Every block factored once, shared by check_identifiability and estimate.
+        """Every block factored once, shared by check_identifiability and estimate."""
+        starts, stops = self.schedule.bounds.T.tolist()
+        # block i >= 1 opens with its release row, one before its ordinary rows
+        return _solve_blocks(self.psi, self.y, starts[:1] + [t - 1 for t in starts[1:]], stops)
 
-        Blocks are taken shortest first, as many per batched QR call as fit
-        _STACK_ROWS when zero-padded to the longest of them (a longer block
-        goes alone), so few calls serve many short blocks and no call holds
-        more than the budget or one block.  Zero-row blocks are not
-        factored: rank 0, zero solution."""
-        n = self.schedule.n_intervals
-        rows = [self.block_rows(i) for i in range(n)]
-        lengths = [len(r) for r in rows]
-        widths = np.array([_width(i) for i in range(n)])
-        # singular values, zero-padded: a zero-row block has none
-        sv, solutions, residuals_sq = np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n)
-        # interval 0's release column is zero: its factor gains a zero column
-        # and a zero singular value, which the RANK_RTOL rule does not count
-        order = [i for i in sorted(range(n), key=lengths.__getitem__) if lengths[i]]
-        while order:
-            # the shortest blocks left, as many as fit the budget padded to the longest
-            k = 1
-            while k < len(order) and (k + 1) * lengths[order[k]] <= _STACK_ROWS:
-                k += 1
-            idx, order = order[:k], order[k:]
-            ay = np.zeros((k, max(4, lengths[idx[-1]]), 4))  # at least 4 rows: R is 4 x 4
-            for j, i in enumerate(idx):
-                ay[j, : lengths[i], :3] = self.psi[rows[i].start : rows[i].stop]
-                ay[j, : lengths[i], 3] = self.y[rows[i].start : rows[i].stop]
-            # with A = QR: R[:3, :3] is R, R[:3, 3] is Q^T y, and |R[3, 3]| is
-            # the norm of the part of y outside the span of A
-            r = np.linalg.qr(ay, mode="r")
-            u, s, vt = np.linalg.svd(r[:, :3, :3])
-            z = (r[:, None, :3, 3] @ u)[:, 0]
-            keep = s > RANK_RTOL * s[:, :1]
-            sol = (np.divide(z, s, out=np.zeros_like(s), where=keep)[:, None] @ vt)[:, 0]
-            sv[idx], solutions[idx] = s, sol
-            residuals_sq[idx] = r[:, 3, 3] ** 2 + (np.where(keep, 0.0, z) ** 2).sum(axis=1)
-        ranks = np.count_nonzero(sv > RANK_RTOL * sv[:, :1], axis=1)
-        s_min = sv[np.arange(n), widths - 1]
-        conditions = np.divide(sv[:, 0], s_min, out=np.full(n, np.nan), where=ranks == widths)
-        return BlockSolution(solutions, ranks, conditions, residuals_sq)
+
+def _solve_blocks(psi, y, starts: list[int], stops: list[int]) -> "BlockSolution":
+    """Interval i's block, rows starts[i]:stops[i] of psi and y, factored once for every i.
+
+    Blocks are taken shortest first, as many per batched QR call as fit
+    _STACK_ROWS when zero-padded to the longest of them (a longer block
+    goes alone), so few calls serve many short blocks and no call holds
+    more than the budget or one block.  Zero-row blocks are not
+    factored: rank 0, zero solution."""
+    n = len(starts)
+    lengths = [b - a for a, b in zip(starts, stops)]
+    widths = np.array([cols.stop - cols.start for cols in map(theta_slice, range(n))])
+    # singular values, zero-padded: a zero-row block has none
+    sv, solutions, residuals_sq = np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n)
+    # interval 0's release column is zero: its factor gains a zero column
+    # and a zero singular value, which the RANK_RTOL rule does not count
+    order = [i for i in sorted(range(n), key=lengths.__getitem__) if lengths[i]]
+    while order:
+        # the shortest blocks left, as many as fit the budget padded to the longest
+        k = 1
+        while k < len(order) and (k + 1) * lengths[order[k]] <= _STACK_ROWS:
+            k += 1
+        idx, order = order[:k], order[k:]
+        ay = np.zeros((k, max(4, lengths[idx[-1]]), 4))  # at least 4 rows: R is 4 x 4
+        for j, i in enumerate(idx):
+            ay[j, : lengths[i], :3] = psi[starts[i] : stops[i]]
+            ay[j, : lengths[i], 3] = y[starts[i] : stops[i]]
+        # with A = QR: R[:3, :3] is R, R[:3, 3] is Q^T y, and |R[3, 3]| is
+        # the norm of the part of y outside the span of A
+        r = np.linalg.qr(ay, mode="r")
+        u, s, vt = np.linalg.svd(r[:, :3, :3])
+        z = (r[:, None, :3, 3] @ u)[:, 0]
+        keep = s > RANK_RTOL * s[:, :1]
+        sol = (np.divide(z, s, out=np.zeros_like(s), where=keep)[:, None] @ vt)[:, 0]
+        sv[idx], solutions[idx] = s, sol
+        residuals_sq[idx] = r[:, 3, 3] ** 2 + (np.where(keep, 0.0, z) ** 2).sum(axis=1)
+    ranks = np.count_nonzero(sv > RANK_RTOL * sv[:, :1], axis=1)
+    s_min = sv[np.arange(n), widths - 1]
+    conditions = np.divide(sv[:, 0], s_min, out=np.full(n, np.nan), where=ranks == widths)
+    return BlockSolution(solutions, ranks, widths, conditions, residuals_sq)
 
 
 @dataclass(frozen=True)
 class BlockSolution:
     """Per block: minimum-norm solution (zero-padded to 3 columns on the
-    left), numeric rank, condition number s_max / s_min (NaN when rank
-    deficient) and squared residual norm."""
+    left), numeric rank, width (the rank it needs), condition number
+    s_max / s_min (NaN when rank deficient) and squared residual norm."""
 
     solutions: np.ndarray
     ranks: np.ndarray
+    widths: np.ndarray
     conditions: np.ndarray
     residuals_sq: np.ndarray
 
@@ -201,15 +197,16 @@ def build_regression(traj: Trajectory, schedule: UpdateSchedule) -> RegressionSy
     flow *= h
     flow *= xk
     np.multiply(-h, xk, out=psi[:, 2])
-    # release rows hold the pre-release share in column 0 only
-    release_rows = [t - 1 for t in schedule.update_steps]
+    # release rows T_i - 1 hold the pre-release share in column 0 only
+    release_rows = schedule.bounds[1:, 0] - 1
     psi[release_rows, 0] = xk[release_rows]
     psi[release_rows, 1:] = 0.0
     return RegressionSystem(x=x, schedule=schedule, y=y, psi=psi)
 
 
-def _has_variation(x: np.ndarray, ranges: list[range]) -> np.ndarray:
-    """Per range of x: two usable (nonzero) shares that actually differ, at tolerance.
+def _has_variation(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per row [start, stop) of bounds: two usable (nonzero) shares in
+    x[start:stop] that actually differ, at tolerance.
 
     The exact condition is x1 x2 (x1 - x2) != 0 for some pair; numerically a
     share counts as nonzero above VARIATION_TOL and a pair as distinct when
@@ -217,15 +214,15 @@ def _has_variation(x: np.ndarray, ranges: list[range]) -> np.ndarray:
     extreme pair (min, max) of the usable subset decides, because every other
     pair differs less while facing the same floor.
     """
-    bounds = np.array([(ks.start, ks.stop) for ks in ranges]).ravel()[:-1]
-    x = x[: ranges[-1].stop]  # the last range runs to the end of the array
+    edges = bounds.ravel()[:-1]
+    x = x[: bounds[-1, 1]]  # the last range runs to the end of the array
     usable = np.abs(x) > VARIATION_TOL
     # reduceat over start_0, stop_0, start_1, ...: the even entries reduce the
     # ranges (the odd ones the release rows between them); an empty range
     # yields its start element alone, which is fewer than 2 usable shares
-    n_usable = np.add.reduceat(usable, bounds, dtype=np.intp)[::2]
+    n_usable = np.add.reduceat(usable, edges, dtype=np.intp)[::2]
     xu = np.where(usable, x, np.nan)  # fmin and fmax skip NaN
-    lo, hi = np.fmin.reduceat(xu, bounds)[::2], np.fmax.reduceat(xu, bounds)[::2]
+    lo, hi = np.fmin.reduceat(xu, edges)[::2], np.fmax.reduceat(xu, edges)[::2]
     floor = VARIATION_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     return (n_usable >= 2) & (hi - lo > floor)
 
@@ -291,23 +288,16 @@ def check_identifiability(system: RegressionSystem) -> IdentifiabilityReport:
     cross-checked, and each block's condition number, which the verdict
     does not use.
     """
-    x, schedule = system.x, system.schedule
-    ranges = [schedule.sis_index_range(i) for i in range(schedule.n_intervals)]
-    variation_ok = _has_variation(x, ranges)
-    pre_release = np.array(schedule.update_steps, dtype=int) - 1
-    jump_ok = np.concatenate(([True], np.abs(x[pre_release]) > VARIATION_TOL))
-    sol = system.solution
+    x, bounds, sol = system.x, system.schedule.bounds, system.solution
+    # the share entering each release, on its release row T_i - 1
+    jump_ok = np.concatenate(([True], np.abs(x[bounds[1:, 0] - 1]) > VARIATION_TOL))
+    per_interval = zip(
+        bounds.tolist(), _has_variation(x, bounds).tolist(), jump_ok.tolist(),
+        sol.ranks.tolist(), sol.widths.tolist(), sol.conditions.tolist(),
+    )
     conditions = tuple(
-        IntervalConditions(
-            interval=i,
-            length_ok=len(ks) >= 2,
-            variation_ok=bool(variation_ok[i]),
-            jump_state_ok=bool(jump_ok[i]),
-            rank=int(sol.ranks[i]),
-            required_rank=_width(i),
-            condition=float(sol.conditions[i]),
-        )
-        for i, ks in enumerate(ranges)
+        IntervalConditions(i, stop - start >= 2, variation, jump, rank, width, condition)
+        for i, ((start, stop), variation, jump, rank, width, condition) in enumerate(per_interval)
     )
     return IdentifiabilityReport(
         intervals=conditions,
@@ -346,11 +336,9 @@ def estimate(system: RegressionSystem) -> EstimationResult:
     non-unique (with a RankDeficiencyWarning).
     """
     sol = system.solution
-    m = system.schedule.n_updates
-    theta = np.zeros(theta_slice(m).stop, dtype=float)
+    theta = np.zeros(theta_slice(system.schedule.n_updates).stop, dtype=float)
     unique = True
-    for i in range(m + 1):
-        rank, width = int(sol.ranks[i]), _width(i)
+    for i, (rank, width) in enumerate(zip(sol.ranks.tolist(), sol.widths.tolist())):
         if rank < width:
             unique = False
             warnings.warn(

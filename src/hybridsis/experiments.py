@@ -236,12 +236,6 @@ class NoiseStudyResult:
     plan: ExperimentPlan
     cells: list[StudyCell]
 
-    def cell(self, regime: str, h: float) -> StudyCell:
-        for c in self.cells:
-            if c.regime == regime and c.h == h:
-                return c
-        raise KeyError(f"no cell for regime={regime!r}, h={h}")
-
     def param_rows(self):
         """Rows regime,h,trial,param,true,estimate,rel_error."""
         names = parameter_names(self.plan.scenario.spec.schedule.n_updates)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import Trajectory, UpdateSchedule, _check_population
-from .simulate import _read_csv
+from .simulate import _read_csv, _records
 
 __all__ = [
     "RawSeries",
@@ -83,7 +83,7 @@ def load_series(path: str | Path) -> RawSeries:
     def row_loop(reader):
         start = None
         counts: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in _records(reader):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 2:

@@ -15,6 +15,7 @@ The sampled (step h) counterpart used for identification is
 
 for ordinary steps, and x[T_i] = (1 + alpha_i) * x[T_i - 1] across a release
 scheduled at sample index T_i.  Note the release step carries no factor h.
+UpdateSchedule.bounds holds each interval's range of ordinary steps.
 
 The flat parameter vector used by the estimator is
 
@@ -29,6 +30,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -122,34 +124,22 @@ class UpdateSchedule:
     def n_samples(self) -> int:
         return self.final_step + 1
 
-    def jump_step(self, interval: int) -> int:
-        """Sample index at which interval `interval` (>= 1) opens."""
-        if not 1 <= interval <= self.n_updates:
-            raise ValueError(f"interval {interval} has no opening release")
-        return self.update_steps[interval - 1]
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """Read-only (n_intervals, 2) int array: row i is [start, stop), the
+        sample indices k whose step k -> k+1 is an ordinary SIS step of
+        interval i.
 
-    def interval_start(self, interval: int) -> int:
-        return 0 if interval == 0 else self.update_steps[interval - 1]
-
-    def sis_index_range(self, interval: int) -> range:
-        """Sample indices k whose step k -> k+1 is an ordinary SIS step of
-        the given interval.
-
-        For every interval but the last the range stops at T_{i+1} - 2: the
-        difference ending at T_{i+1} belongs to the next interval's release.
-        The last interval has no later release, so its range keeps the tail
-        and runs through final_step - 1.  This asymmetry is encoded here and
-        nowhere else.
+        Interval i >= 1 starts at its release T_i.  Every interval but the
+        last stops at T_{i+1} - 1: the difference ending at T_{i+1} is the
+        next interval's release row T_{i+1} - 1.  The last interval has no
+        later release, so it keeps the tail and runs through final_step - 1.
+        This asymmetry is encoded here and nowhere else.
         """
-        m = self.n_updates
-        if not 0 <= interval <= m:
-            raise ValueError(f"interval index {interval} out of range 0..{m}")
-        start = self.interval_start(interval)
-        if interval < m:
-            stop = self.update_steps[interval] - 1
-        else:
-            stop = self.final_step
-        return range(start, stop)
+        edges = np.array([0, *self.update_steps, self.final_step + 1])
+        bounds = np.stack([edges[:-1], edges[1:] - 1], axis=1)
+        bounds.setflags(write=False)
+        return bounds
 
 
 def theta_pack(intervals: Sequence[IntervalParams]) -> np.ndarray:

@@ -104,8 +104,9 @@ def _recurse(
     """The sampled recursion over a schedule; returns (values, clamps).
 
     A release sample applies the jump rule alone, through _apply_jump with
-    `check` (False for raw estimates).  Each interval's ordinary samples are
-    one flat run of len(sis_index_range(i)) * substeps steps
+    `check` (False for raw estimates).  Interval i's ordinary samples are
+    one flat run of (stop - start) * substeps steps, where [start, stop) is
+    schedule.bounds[i]:
 
         x <- x + x * (a - c * x + w),   a = dt (beta - gamma),  c = dt beta,
 
@@ -129,12 +130,12 @@ def _recurse(
         floor = draws is not None
         x = float(x0)
         yield from repeat(x, substeps)
-        for i, p in enumerate(intervals):
+        for i, (p, (start, stop)) in enumerate(zip(intervals, schedule.bounds.tolist())):
             if i > 0:
                 x = _apply_jump(x, p.alpha, i, check)
                 yield from repeat(x, substeps)
             a, c = dt * (p.beta - p.gamma), dt * p.beta
-            n = len(schedule.sis_index_range(i)) * substeps
+            n = (stop - start) * substeps
             for w in repeat(0.0, n) if draws is None else islice(draws, n):
                 x = x + x * (a - c * x + w)
                 if x < 0.0 and floor:
@@ -193,14 +194,13 @@ def simulate_ct(spec: HybridModelSpec, x0: float) -> Trajectory:
     sched = spec.schedule
     xs = np.empty(sched.n_samples, dtype=float)
     xs[0] = x
-    for i, p in enumerate(spec.intervals):
-        if i > 0:
+    for i, (p, (start, stop)) in enumerate(zip(spec.intervals, sched.bounds.tolist())):
+        if i > 0:  # the release sample T_i opens interval i
             x = _apply_jump(x, p.alpha, i, check=True)
-            xs[sched.jump_step(i)] = x
-        ks = sched.sis_index_range(i)
-        t = sched.step_size * np.arange(1, len(ks) + 1)
-        xs[ks.start + 1 : ks.stop + 1] = _logistic_flow(x, p.beta, p.gamma, t)
-        x = float(xs[ks.stop])
+            xs[start] = x
+        t = sched.step_size * np.arange(1, stop - start + 1)
+        xs[start + 1 : stop + 1] = _logistic_flow(x, p.beta, p.gamma, t)
+        x = float(xs[stop])
     return Trajectory(values=xs, step_size=sched.step_size)
 
 
@@ -490,8 +490,18 @@ def _read_csv(path, check_header, dtype, parse, row_loop, usecols=None):
             except (ValueError, Warning):
                 pass
             fh.seek(0)  # rejected: re-read line by line, to name the bad line
+            reader = csv.reader(fh)  # a new reader counts lines from the top again
             next(reader)
         return row_loop(reader)
+
+
+def _records(reader):
+    """(line, row) for each record left in reader, line being the record's
+    first physical line: a quoted field can span lines, in the header too."""
+    line = reader.line_num
+    for row in reader:
+        yield line + 1, row
+        line = reader.line_num
 
 
 def read_trajectory_csv(path: str | Path) -> Trajectory:
@@ -515,7 +525,7 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
 
     def row_loop(reader):
         values, times, linenos = [], [], []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in _records(reader):
             if not row:
                 continue
             if len(row) < 3:

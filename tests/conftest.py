@@ -19,6 +19,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def study_cell(result, regime: str, h: float):
+    """The one cell of a noise-study result for a regime and step size."""
+    (cell,) = [c for c in result.cells if c.regime == regime and c.h == h]
+    return cell
+
+
 def forbid_row_loop(monkeypatch, module) -> None:
     """Make module's CSV reads fail if they reach the line-by-line row loop,
     so a test can show that a file was accepted by the C parser alone."""

@@ -33,7 +33,7 @@ from hybridsis import (
 )
 from hybridsis.simulate import _recurse
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, study_cell
 
 
 def report(ok: bool, text: str) -> None:
@@ -117,7 +117,7 @@ def test_noiseless_bias_shrinks_with_step_size(demo_scenario):
     )
     result = run_noise_study(plan)
     worst = [
-        float(result.cell("noiseless", h).r0_rel_errors().max())
+        float(study_cell(result, "noiseless", h).r0_rel_errors().max())
         for h in plan.h_values
     ]
     wall = time.perf_counter() - t0
@@ -134,9 +134,9 @@ def test_observation_noise_medians(demo_scenario):
     t0 = time.perf_counter()
     plan = ExperimentPlan(scenario=demo_scenario, regimes=("observation",))
     result = run_noise_study(plan)
-    med = {h: float(np.median(result.cell("observation", h).r0_rel_errors()))
+    med = {h: float(np.median(study_cell(result, "observation", h).r0_rel_errors()))
            for h in plan.h_values}
-    mx = {h: float(np.max(result.cell("observation", h).r0_rel_errors()))
+    mx = {h: float(np.max(study_cell(result, "observation", h).r0_rel_errors()))
           for h in plan.h_values}
     wall = time.perf_counter() - t0
     worst_h = max(med, key=med.get)
@@ -158,9 +158,9 @@ def test_process_noise_medians(demo_scenario):
     t0 = time.perf_counter()
     plan = ExperimentPlan(scenario=demo_scenario, regimes=("process",))
     result = run_noise_study(plan)
-    param_med = {h: float(np.median(result.cell("process", h).param_rel_errors()))
+    param_med = {h: float(np.median(study_cell(result, "process", h).param_rel_errors()))
                  for h in plan.h_values}
-    r0_med = {h: float(np.median(result.cell("process", h).r0_rel_errors()))
+    r0_med = {h: float(np.median(study_cell(result, "process", h).r0_rel_errors()))
               for h in plan.h_values}
     wall = time.perf_counter() - t0
     worst_p = max(param_med, key=param_med.get)
@@ -193,14 +193,14 @@ def test_condition_check_matches_numeric_rank():
         for i in range(1, m + 1):
             r = rng.random()
             if r < 0.2:
-                x[sched.jump_step(i) - 1] = 0.0  # dead state entering a release
+                x[sched.update_steps[i - 1] - 1] = 0.0  # dead state entering a release
                 kind = "zero_jump"
             elif r < 0.4:
-                ks = sched.sis_index_range(i)
-                x[ks.start : ks.stop] = 0.37  # no variation inside the interval
+                start, stop = sched.bounds[i]
+                x[start:stop] = 0.37  # no variation inside the interval
                 kind = "const_seg"
         if kind == "clean" and any(
-            len(sched.sis_index_range(i)) < 2 for i in range(m + 1)
+            stop - start < 2 for start, stop in sched.bounds
         ):
             kind = "short"
         traj = Trajectory(values=x, step_size=1.0)

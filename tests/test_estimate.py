@@ -1,4 +1,7 @@
 import bisect
+import json
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -23,15 +26,17 @@ from hybridsis import (
 from hybridsis.estimate import _STACK_ROWS, RANK_RTOL
 from hybridsis.model import theta_slice
 
+from conftest import ROOT
+
 
 def block(system, i):
     """Interval i's block of psi, in its last width columns (interval 0 has
-    no release column), and its right-hand side."""
-    rows, cols = system.block_rows(i), theta_slice(i)
-    return (
-        system.psi[rows.start : rows.stop, -(cols.stop - cols.start) :],
-        system.y[rows.start : rows.stop],
-    )
+    no release column), and its right-hand side: the release row start - 1
+    (i >= 1), then the ordinary rows [start, stop) of schedule.bounds[i]."""
+    start, stop = system.schedule.bounds[i].tolist()
+    start -= i > 0
+    cols = theta_slice(i)
+    return system.psi[start:stop, -(cols.stop - cols.start) :], system.y[start:stop]
 
 
 def test_regression_small_system_by_hand():
@@ -55,7 +60,7 @@ def test_regression_small_system_by_hand():
     expected[2, 0] = x[2]
     np.testing.assert_array_equal(system.psi, expected)
 
-    assert [system.block_rows(i) for i in range(2)] == [range(0, 2), range(2, 5)]
+    assert system.schedule.bounds.tolist() == [[0, 2], [3, 5]]  # blocks: rows 0-1, 2-4
     assert [theta_slice(i) for i in range(2)] == [slice(0, 2), slice(2, 5)]
     (a0, rhs0), (a1, rhs1) = block(system, 0), block(system, 1)
     np.testing.assert_array_equal(a0, expected[0:2, 1:3])
@@ -70,9 +75,8 @@ def test_regression_demo_shape(demo_scenario):
     system = build_regression(traj, spec.schedule)
     assert system.y.shape == (150,)
     assert system.psi.shape == (150, 3)
-    assert [system.block_rows(i) for i in range(3)] == [
-        range(0, 29), range(29, 89), range(89, 150),
-    ]
+    # blocks: rows 0-28, then 29-88 and 89-149, each opening with its release row
+    assert system.schedule.bounds.tolist() == [[0, 29], [30, 89], [90, 150]]
     assert [theta_slice(i) for i in range(3)] == [slice(0, 2), slice(2, 5), slice(5, 8)]
     # release rows hold the pre-release share in the release column only
     for row in (29, 89):
@@ -92,7 +96,7 @@ def test_regression_no_updates():
     assert system.psi.shape == (4, 3)
     assert not system.psi[:, 0].any()
     assert system.schedule.n_intervals == 1
-    assert system.block_rows(0) == range(0, 4)
+    assert system.schedule.bounds.tolist() == [[0, 4]]
     assert block(system, 0)[0].shape == (4, 2)
 
 
@@ -103,7 +107,7 @@ def test_regression_is_compact_for_many_releases():
     system = build_regression(traj, sched)
     assert system.psi.shape == (3010, 3)
     assert theta_slice(300).stop == 2 + 3 * 300
-    assert system.block_rows(300) == range(2999, 3010)
+    assert system.schedule.bounds[300].tolist() == [3000, 3010]  # block: rows 2999-3009
     assert block(system, 300)[0].shape == (11, 3)
 
 
@@ -200,7 +204,7 @@ def test_shared_solve_matches_per_block_lstsq():
     system = build_regression(traj, sched)
 
     blocks = range(sched.n_intervals)
-    lengths = [len(system.block_rows(i)) for i in blocks]
+    lengths = [len(block(system, i)[1]) for i in blocks]
     assert lengths[0] == 0 and lengths[1] == 1 and max(lengths) > _STACK_ROWS
     ref_theta = np.zeros(theta_slice(sched.n_updates).stop)
     ref_ranks, ref_sq = [], 0.0
@@ -500,3 +504,17 @@ def test_forecast_validation(demo_scenario):
         forecast(spec, 0.5, 0)
     with pytest.raises(ValueError):
         forecast(spec, 1.5, 3)
+
+
+def test_regression_bench_runs_at_toy_size(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(ROOT / "bench" / "layers.py"), "--layers", "regression",
+                    "--reps", "1", "--shapes", "2:2000,5:4000", "--out", str(out),
+                    f"here={ROOT / 'src'}"], check=True)
+    report = json.loads(out.read_text())
+    want = ["regression,m=2,n=2000", "regression,m=5,n=4000"]
+    assert sorted(report["cells"]) == sorted(report["peak_mib"]) == want
+    assert all(set(cell) == {"here"} and cell["here"] > 0 for cell in report["cells"].values())
+    assert all(set(cell) == {"here"} and cell["here"] > 0 for cell in report["peak_mib"].values())
+    assert report["layer"] == "regression"
+    assert set(report) == {"layer", "unit", "statistic", "cells", "peak_mib", "env"}

@@ -21,7 +21,7 @@ from hybridsis import (
     simulate_dt,
 )
 
-from conftest import SCENARIO_PATH
+from conftest import SCENARIO_PATH, study_cell
 
 
 def small_plan(scenario, **kw):
@@ -98,7 +98,7 @@ def test_noiseless_cells_recover_r0(demo_scenario):
         scenario=demo_scenario, regimes=("noiseless",), h_values=(1.0,), fine_substeps=5
     )
     result = run_noise_study(plan)
-    cell = result.cell("noiseless", 1.0)
+    cell = study_cell(result, "noiseless", 1.0)
     assert cell.n_trials == 1  # noiseless needs no repetition
     assert not cell.failed
     errs = cell.r0_rel_errors()
@@ -116,8 +116,8 @@ def test_study_is_deterministic(demo_scenario):
 
 def test_observation_noise_hurts(demo_scenario):
     result = run_noise_study(small_plan(demo_scenario))
-    clean = np.median(result.cell("noiseless", 1.0).r0_rel_errors())
-    noisy = np.median(result.cell("observation", 1.0).r0_rel_errors())
+    clean = np.median(study_cell(result, "noiseless", 1.0).r0_rel_errors())
+    noisy = np.median(study_cell(result, "observation", 1.0).r0_rel_errors())
     assert noisy > clean
 
 
@@ -130,7 +130,7 @@ def test_failed_cells_do_not_stop_the_sweep(demo_scenario):
     )
     result = run_noise_study(plan)
     for h in (1.0, 0.5):
-        cell = result.cell("noiseless", h)
+        cell = study_cell(result, "noiseless", h)
         assert cell.failed
         assert cell.failure is not None and not cell.failure.overall
         assert 0 in cell.failure.failed_intervals()

@@ -197,6 +197,18 @@ SERIES_CORPUS = {
     ),
     "nul_byte": (H + b"2024-03-01,10\n2024-03-02,2\x000\n", (ValueError, "{path}:3: bad count '2\\x000'")),
     "no_final_newline": (H + b"2024-03-01,10\n2024-03-02,20", ("2024-03-01", [10, 20])),
+    # a record is named by its first physical line, after a header or a
+    # quoted field that spans two
+    "two_line_header": (
+        b'date,"peak_players\n"\n2024-03-01,10\n2024-03-04,40\n',
+        (ValueError, "{path}:4: 2 missing day(s) between 2024-03-01 and 2024-03-04; "
+                     "the series must list every day"),
+    ),
+    "two_line_record": (
+        H + b'2024-03-01,"10\n"\n2024-03-02,20\n2024-03-05,50\n',
+        (ValueError, "{path}:5: 2 missing day(s) between 2024-03-02 and 2024-03-05; "
+                     "the series must list every day"),
+    ),
 }
 
 

@@ -62,24 +62,46 @@ def test_schedule_counting():
     assert DEMO_SCHED.n_updates == 2
     assert DEMO_SCHED.n_intervals == 3
     assert DEMO_SCHED.n_samples == 151
-    assert DEMO_SCHED.jump_step(1) == 30
-    assert DEMO_SCHED.jump_step(2) == 90
-    for bad in (0, 3):
-        with pytest.raises(ValueError):
-            DEMO_SCHED.jump_step(bad)
-    assert [DEMO_SCHED.interval_start(i) for i in range(3)] == [0, 30, 90]
 
 
-def test_sis_index_ranges():
+def test_schedule_bounds():
     # every interval but the last stops one short of the next release; the
     # last keeps the tail
-    assert DEMO_SCHED.sis_index_range(0) == range(0, 29)
-    assert DEMO_SCHED.sis_index_range(1) == range(30, 89)
-    assert DEMO_SCHED.sis_index_range(2) == range(90, 150)
+    bounds = DEMO_SCHED.bounds
+    assert bounds.tolist() == [[0, 29], [30, 89], [90, 150]]
+    assert bounds[1:, 0].tolist() == [30, 90]  # intervals 1 and 2 open at their releases
+    assert bounds.dtype.kind == "i" and not bounds.flags.writeable
+    assert DEMO_SCHED.bounds is bounds  # computed once per schedule
     with pytest.raises(ValueError):
-        DEMO_SCHED.sis_index_range(3)
-    no_updates = UpdateSchedule((), 10, 1.0)
-    assert no_updates.sis_index_range(0) == range(0, 10)
+        bounds[0, 0] = 1
+    assert UpdateSchedule((), 10, 1.0).bounds.tolist() == [[0, 10]]
+    many = UpdateSchedule(tuple(range(10, 3010, 10)), 3010, 0.1)
+    start, stop = many.bounds[300].tolist()
+    assert (start - 1, stop) == (2999, 3010)  # block 300: its release row, then its ordinary rows
+
+
+@st.composite
+def _schedules(draw):
+    final = draw(st.integers(1, 60))
+    steps = draw(st.lists(st.integers(1, final - 1), unique=True, max_size=12)) if final > 1 else []
+    return UpdateSchedule(tuple(sorted(steps)), final, draw(st.sampled_from([0.1, 1.0])))
+
+
+@given(sched=_schedules())
+def test_schedule_bounds_tile_the_steps_property(sched):
+    # the ordinary rows of every interval and the release rows T_i - 1
+    # cover every step k -> k+1 of the schedule exactly once
+    bounds = sched.bounds
+    assert bounds.shape == (sched.n_intervals, 2)
+    rows = [k for start, stop in bounds.tolist() for k in range(start, stop)]
+    rows += [t - 1 for t in sched.update_steps]
+    assert sorted(rows) == list(range(sched.final_step))
+    # interval i >= 1 opens at its release, and block i, [start_i - (i >= 1), stop_i),
+    # runs up to the next block's start
+    assert bounds[1:, 0].tolist() == list(sched.update_steps)
+    blocks = [(start - (i >= 1), stop) for i, (start, stop) in enumerate(bounds.tolist())]
+    assert blocks[0][0] == 0 and blocks[-1][1] == sched.final_step
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
 
 
 def test_theta_pack_demo_layout():

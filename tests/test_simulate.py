@@ -657,8 +657,9 @@ def test_writer_matches_the_row_loop(monkeypatch, chunk, name):
 
 def test_csv_io_bench_runs_at_toy_size(tmp_path):
     out = tmp_path / "bench.json"
-    subprocess.run([sys.executable, str(ROOT / "bench" / "csv_io.py"), "--reps", "1",
-                    "--sizes", "50,60", "--out", str(out), f"here={ROOT / 'src'}"], check=True)
+    subprocess.run([sys.executable, str(ROOT / "bench" / "layers.py"), "--layers", "csv",
+                    "--reps", "1", "--sizes", "50,60", "--out", str(out), f"here={ROOT / 'src'}"],
+                   check=True)
     report = json.loads(out.read_text())
     want = [f"write,n={n},{case}" for n in (50, 60)
             for case in ("bare", "count", "count,zeros", "count,below_1e-4")]
@@ -781,6 +782,16 @@ READER_CORPUS = {
         HEADER + b"0,0,0.5," + b"a" * 140_000 + b"\n1,1,0.6\n",
         csv.Error,
         "field larger than field limit (131072)",
+    ),
+    # a record is named by its first physical line, after a header or a
+    # quoted field that spans two
+    "two_line_header": (
+        b'step,time,"x\n"\n0,0,0.5\n1,1,nan\n', ValueError, "{path}:4: share 'nan' is not finite"
+    ),
+    "two_line_record": (
+        HEADER + b'0,0,"0.5\n"\n1,1,0.6\n2,2,nan\n',
+        ValueError,
+        "{path}:5: share 'nan' is not finite",
     ),
 }
 
