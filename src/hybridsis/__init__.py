@@ -1,91 +1,22 @@
 """Simulation and identification toolkit for SIS demand dynamics whose user
-share jumps at product-release times."""
+share jumps at product-release times.
+
+The package exports every name in its modules' __all__ lists; each public
+name is declared once, in its own module."""
 
 __version__ = "0.1.0"
 
-from .estimate import (
-    EstimationResult,
-    IdentifiabilityReport,
-    RankDeficiencyWarning,
-    RegressionSystem,
-    build_regression,
-    check_identifiability,
-    error_metrics,
-    estimate,
-    forecast,
-)
-from .experiments import (
-    ExperimentPlan,
-    FitReport,
-    NoiseStudyResult,
-    derive_seed,
-    load_plan,
-    run_noise_study,
-    run_realdata_study,
-)
-from .ingest import AlignedDataset, RawSeries, align, load_series, load_update_dates
-from .model import (
-    HybridModelSpec,
-    IntervalParams,
-    Scenario,
-    Trajectory,
-    UpdateSchedule,
-    load_scenario,
-    load_schedule,
-    parameter_names,
-    reproduction_number,
-    theta_pack,
-    theta_unpack,
-)
-from .simulate import (
-    StabilityWarning,
-    add_observation_noise,
-    read_trajectory_csv,
-    simulate_ct,
-    simulate_dt,
-    simulate_sde,
-    write_trajectory_csv,
-)
+# star-imported alphabetically, which sets the order the modules load in;
+# __all__ lists them in pipeline order
+from .estimate import *
+from .experiments import *
+from .ingest import *
+from .model import *
+from .simulate import *
+from .model import __all__ as _model
+from .simulate import __all__ as _simulate
+from .estimate import __all__ as _estimate
+from .ingest import __all__ as _ingest
+from .experiments import __all__ as _experiments
 
-__all__ = [
-    "__version__",
-    "IntervalParams",
-    "UpdateSchedule",
-    "HybridModelSpec",
-    "Trajectory",
-    "Scenario",
-    "theta_pack",
-    "theta_unpack",
-    "parameter_names",
-    "reproduction_number",
-    "load_scenario",
-    "load_schedule",
-    "StabilityWarning",
-    "simulate_dt",
-    "simulate_ct",
-    "simulate_sde",
-    "add_observation_noise",
-    "write_trajectory_csv",
-    "read_trajectory_csv",
-    "RegressionSystem",
-    "build_regression",
-    "IdentifiabilityReport",
-    "check_identifiability",
-    "RankDeficiencyWarning",
-    "EstimationResult",
-    "estimate",
-    "error_metrics",
-    "forecast",
-    "RawSeries",
-    "AlignedDataset",
-    "load_series",
-    "load_update_dates",
-    "align",
-    "ExperimentPlan",
-    "load_plan",
-    "derive_seed",
-    "NoiseStudyResult",
-    "run_noise_study",
-    "FitReport",
-    "run_realdata_study",
-]
+__all__ = ["__version__", *_model, *_simulate, *_estimate, *_ingest, *_experiments]

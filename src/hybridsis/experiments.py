@@ -209,8 +209,11 @@ class StudyCell:
     theta_true: np.ndarray
     r0_true: np.ndarray
     theta_hats: list[np.ndarray] = field(default_factory=list)
-    failed: bool = False
     failure: IdentifiabilityReport | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.failure is not None
 
     @property
     def n_trials(self) -> int:
@@ -260,28 +263,16 @@ class NoiseStudyResult:
         names = parameter_names(self.plan.scenario.spec.schedule.n_updates)
         cells = []
         for c in self.cells:
+            cell = {"regime": c.regime, "h": c.h, "failed": c.failed}
             if c.failed:
-                cells.append(
-                    {
-                        "regime": c.regime,
-                        "h": c.h,
-                        "failed": True,
-                        "identifiability": c.failure.to_dict() if c.failure else None,
-                    }
+                cell["identifiability"] = c.failure.to_dict()
+            else:
+                cell["trials"] = c.n_trials
+                cell["param_rel_error"] = _median_max(c.param_rel_errors(), names)
+                cell["r0_rel_error"] = _median_max(
+                    c.r0_rel_errors(), (f"interval_{i}" for i in range(c.n_intervals))
                 )
-                continue
-            cells.append(
-                {
-                    "regime": c.regime,
-                    "h": c.h,
-                    "failed": False,
-                    "trials": c.n_trials,
-                    "param_rel_error": _median_max(c.param_rel_errors(), names),
-                    "r0_rel_error": _median_max(
-                        c.r0_rel_errors(), (f"interval_{i}" for i in range(c.n_intervals))
-                    ),
-                }
-            )
+            cells.append(cell)
         return {
             "seed": self.plan.seed,
             "sigma": self.plan.sigma,
@@ -328,7 +319,6 @@ def _run_cell_trial(cell: StudyCell, traj: Trajectory, schedule: UpdateSchedule)
     system = build_regression(traj, schedule)
     report = check_identifiability(system)
     if not report.overall:
-        cell.failed = True
         cell.failure = report
         cell.theta_hats.clear()
         return

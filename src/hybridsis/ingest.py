@@ -128,13 +128,10 @@ def load_update_dates(path: str | Path) -> tuple[dt.date, ...]:
     if not text:
         raise ValueError(f"{path}: no dates found")
     if text.startswith("["):
-        try:
-            raw = json.loads(text)
+        try:  # stripped text that starts with '[' and parses is a JSON array
+            items = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(raw, list):
-            raise ValueError(f"{path}: expected a JSON array of dates")
-        items = raw
     else:
         items = [line.strip() for line in text.splitlines() if line.strip()]
     dates = []

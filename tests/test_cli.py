@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import hashlib
 import io
@@ -17,6 +18,7 @@ from hybridsis import (
     Trajectory,
     UpdateSchedule,
     load_scenario,
+    simulate_ct,
     simulate_dt,
     write_trajectory_csv,
 )
@@ -72,22 +74,42 @@ def test_simulate_dt_matches_library_and_writes_manifest(tmp_path, capsys):
     assert manifest["duration_s"] >= 0
 
 
+def test_simulate_ct_writes_the_closed_form_flow_with_a_count_column(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**_SCENARIO, "population": 1_000_003}))
+    out = tmp_path / "traj.csv"
+    code, _, err = run_cli(
+        capsys, "simulate", "--scenario", str(scenario), "--mode", "ct", "--out", str(out)
+    )
+    assert code == 0 and err == ""
+    loaded = load_scenario(scenario)
+    expected = tmp_path / "expected.csv"
+    flow = simulate_ct(loaded.spec, loaded.x0)
+    write_trajectory_csv(dataclasses.replace(flow, population=1_000_003), expected)
+    assert out.read_bytes() == expected.read_bytes()
+    assert out.read_text().startswith("step,time,x,count\n")
+
+
 def test_cli_runs_without_scipy(tmp_path):
-    # no module imports scipy: the CLI runs with the import blocked
+    # no module imports scipy: the CLI runs with the import blocked, entered as
+    # `python -m hybridsis.cli`, so main reads its arguments from sys.argv
     out = tmp_path / "traj.csv"
     code = (
-        "import sys; sys.modules['scipy'] = None\n"
-        "from hybridsis.cli import main\n"
-        f"sys.exit(main(['simulate', '--scenario', {str(SCENARIO_PATH)!r}, "
-        f"'--mode', 'dt', '--out', {str(out)!r}]))\n"
+        "import runpy, sys; sys.modules['scipy'] = None; "
+        "runpy.run_module('hybridsis.cli', run_name='__main__')"
     )
     src = str(Path(hybridsis.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True
+        [sys.executable, "-c", code, "simulate", "--scenario", str(SCENARIO_PATH),
+         "--mode", "dt", "--out", str(out)],
+        env={"PYTHONPATH": src}, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
-    assert out.exists()
     assert "scipy" not in json.loads((tmp_path / "traj.csv.manifest.json").read_text())
+    scenario = load_scenario(SCENARIO_PATH)
+    expected = tmp_path / "expected.csv"
+    write_trajectory_csv(simulate_dt(scenario.spec, scenario.x0), expected)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_simulate_sde_manifest_replays_byte_identical(tmp_path, capsys):
@@ -289,6 +311,14 @@ def test_forecast_prints_trajectory(tmp_path, capsys):
     assert xs == [0.5, e1, e2]
 
 
+def test_forecast_rejects_a_zero_horizon_by_its_name(capsys):
+    code, out, err = run_cli(
+        capsys, "forecast", "--params", str(SCENARIO_PATH), "--x0", "0.5", "--horizon", "0"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: horizon must be >= 1, got 0\n"
+
+
 def test_forecast_stdout_matches_the_row_loop_past_the_unit_interval(tmp_path, capsys):
     # raw rates that overshoot 1, then swing negative and blow up past 1e16
     params = tmp_path / "raw.json"
@@ -406,6 +436,17 @@ def test_fit_rejects_a_missing_day_at_its_line(tmp_path, capsys):
         f"error: {data}:6: 1 missing day(s) between {start + dt.timedelta(days=3)} and "
         f"{start + dt.timedelta(days=5)}; the series must list every day\n"
     )
+
+
+def test_fit_rejects_a_release_file_that_starts_like_json_but_is_not(tmp_path, capsys):
+    data, updates, start = fit_fixture(tmp_path)
+    updates.write_text(f'["{start + dt.timedelta(days=30)}"\n')
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(data), "--updates", str(updates),
+        "--population", "1000000",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {updates}: not valid JSON: ")
 
 
 def test_fit_window_and_smoothing(tmp_path, capsys):
@@ -562,6 +603,19 @@ def test_study_end_to_end_and_reruns_identically(tmp_path, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_study_prints_its_failed_cells(tmp_path, capsys):
+    # from interval 0's equilibrium the noiseless path is flat there, so no
+    # cell can identify interval 0
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "scenario": {**_SCENARIO, "x0": 0.6}, "regimes": ["noiseless"],
+        "h_values": [1.0, 0.5], "fine_substeps": 2,
+    }))
+    code, out, err = run_cli(capsys, "study", "--plan", str(plan), "--out-dir", str(tmp_path / "s"))
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "failed cells: [('noiseless', 1.0), ('noiseless', 0.5)]"
+
+
 def test_study_cli_overrides(tmp_path, capsys):
     # the plan file is the one place that sets a study's trials and seed
     plan = write_plan(tmp_path)
@@ -644,6 +698,13 @@ WRONGLY_TYPED = [
          id="simulate-population-1e30"),
     case("simulate", "population", 10**400, f"population must be at most 2**53, got {10**400}",
          id="simulate-population-10**400"),
+    # fields that no file may hold, and a plan that would divide by zero
+    case("simulate", "intervals",
+         [_SCENARIO["intervals"][0], {**_SCENARIO["intervals"][1], "delta": 1},
+          _SCENARIO["intervals"][2]],
+         "interval 1: unknown fields ['delta']", id="simulate-intervals-unknown-field"),
+    case("study", "fine_substeps", 0, "fine_substeps must be >= 1, got 0",
+         id="study-fine_substeps-zero"),
 ]
 
 
@@ -672,6 +733,26 @@ def test_wrongly_typed_json_field_exits_2_naming_the_file(
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: {message}")
     assert err.count(str(path)) == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"update_steps": [5], "final_step": 12}', "missing field 'h'"),
+        ('{"h": 1.0, "final_step": 12}', "missing field 'update_steps'"),
+        ('{"h": 1.0, "update_steps": [5]}', "missing field 'final_step'"),
+        ('{"h": 1.0,', "not valid JSON: "),
+        ("[1.0, [5], 12]", "expected a JSON object"),
+    ],
+    ids=["no-h", "no-update_steps", "no-final_step", "not-json", "array"],
+)
+def test_malformed_schedule_file_exits_2_naming_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "schedule.json"
+    path.write_text(text)
+    traj = write_constant_traj(tmp_path / "t.csv")
+    code, out, err = run_cli(capsys, "identify", "--traj", str(traj), "--schedule", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: {message}")
 
 
 @pytest.mark.parametrize("flag", ["--from", "--to"])

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import hybridsis.experiments as experiments
 from hybridsis import (
     AlignedDataset,
     ExperimentPlan,
@@ -50,6 +51,18 @@ def test_plan_validation(demo_scenario):
         ExperimentPlan(scenario=demo_scenario, h_values=(1.0, 1.0))
     with pytest.raises(ValueError, match="trials"):
         ExperimentPlan(scenario=demo_scenario, trials=0)
+    with pytest.raises(ValueError, match="at least one regime"):
+        ExperimentPlan(scenario=demo_scenario, regimes=())
+    with pytest.raises(ValueError, match="duplicate regimes"):
+        ExperimentPlan(scenario=demo_scenario, regimes=("noiseless", "noiseless"))
+    with pytest.raises(ValueError, match="at least one step size"):
+        ExperimentPlan(scenario=demo_scenario, h_values=())
+    with pytest.raises(ValueError, match="step sizes must be positive"):
+        ExperimentPlan(scenario=demo_scenario, h_values=(1.0, 0.0))
+    with pytest.raises(ValueError, match="sigma must be non-negative"):
+        ExperimentPlan(scenario=demo_scenario, sigma=-0.01)
+    with pytest.raises(ValueError, match="fine_substeps must be >= 1"):
+        ExperimentPlan(scenario=demo_scenario, fine_substeps=0)
     with pytest.raises(ValueError, match="master grid|not close to an integer|integer"):
         ExperimentPlan(scenario=demo_scenario, h_values=(0.7,))
     # a release at t = 30.5 lies on the grid of h = 0.5 but not on that of h = 1
@@ -138,6 +151,25 @@ def test_failed_cells_do_not_stop_the_sweep(demo_scenario):
     summary = result.summary()
     assert all(c["failed"] for c in summary["cells"])
     assert summary["cells"][0]["identifiability"]["overall"] is False
+
+
+def test_a_cell_estimates_no_trial_after_its_first_failure(demo_scenario, monkeypatch):
+    # at sigma = 0 every observation trial is the noiseless path from interval
+    # 0's equilibrium, so each cell's first trial fails and the rest are skipped
+    build, built = experiments.build_regression, []
+
+    def counting_build(traj, schedule):
+        built.append(schedule.step_size)
+        return build(traj, schedule)
+
+    monkeypatch.setattr(experiments, "build_regression", counting_build)
+    plan = ExperimentPlan(
+        scenario=Scenario(spec=demo_scenario.spec, x0=0.6), regimes=("observation",),
+        h_values=(1.0, 0.5), sigma=0.0, trials=3, fine_substeps=2,
+    )
+    result = run_noise_study(plan)
+    assert built == [1.0, 0.5]
+    assert all(c.failed and c.theta_hats == [] for c in result.cells)
 
 
 def test_result_tables_and_summary(tmp_path, demo_scenario):
@@ -253,6 +285,7 @@ def test_realdata_study_holdout():
     assert hold.horizon == 20
     assert hold.forecast_rmse_counts < 1e-3  # exact data, exact tail forecast
     assert report.to_dict()["holdout"]["ok"] is True
+    assert report.to_dict()["holdout"]["estimation"] == hold.estimation.to_dict()
     # a diverged tail forecast is written as null, which strict JSON allows
     hold.forecast_rmse_counts = float("inf")
     assert report.to_dict()["holdout"]["forecast_rmse_counts"] is None
@@ -286,6 +319,19 @@ def test_realdata_study_holdout_drops_tail_releases():
     report = run_realdata_study(dataset, holdout=70)
     assert report.holdout.ok
     assert report.holdout.estimation.theta_hat.shape == (5,)
+
+
+def test_realdata_study_holdout_whose_prefix_fails_the_conditions():
+    dataset, _ = synthetic_dataset()
+    # a cut one step after the release at 70 leaves interval 2 its release row
+    # and one ordinary row: two rows for three parameters
+    report = run_realdata_study(dataset, holdout=49)
+    assert report.ok and report.holdout.cut_step == 71
+    assert not report.holdout.ok
+    assert list(report.holdout.identifiability.failed_intervals()) == [2]
+    hold = report.to_dict()["holdout"]
+    assert hold["ok"] is False
+    assert hold["estimation"] is None and hold["forecast_rmse_counts"] is None
 
 
 def test_realdata_study_holdout_validation():

@@ -35,6 +35,8 @@ def test_interval_params_coerce_and_freeze():
     assert p.alpha is None
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.beta = 2.0
+    q = IntervalParams(beta=0.5, gamma=0.2, alpha=1)
+    assert isinstance(q.alpha, float) and q.alpha == 1.0
 
 
 def test_reproduction_number():
@@ -334,6 +336,7 @@ def test_scenario_json_roundtrip(tmp_path, demo_scenario):
 def test_scenario_dict_strictness(demo_scenario):
     d = scenario_to_dict(demo_scenario)
     assert scenario_from_dict(d) == demo_scenario
+    assert "population" not in d  # the demo sets none, and null is not written
 
     bad = dict(d)
     bad["extra"] = 1
