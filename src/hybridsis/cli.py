@@ -160,6 +160,8 @@ def _cmd_estimate(args, argv: list[str]) -> int:
     out["identifiability"] = report.to_dict()
     if args.truth is not None:
         truth = load_scenario(args.truth)
+        if truth.spec.schedule != schedule:  # release steps, final step or h
+            raise ValueError(f"{args.truth}: truth schedule differs from that of {args.schedule}")
         out["errors"] = error_metrics(result, truth.spec)
     if notes:
         out["warnings"] = notes

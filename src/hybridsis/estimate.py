@@ -54,6 +54,7 @@ from .model import (
     IntervalParams,
     Trajectory,
     UpdateSchedule,
+    _check_start,
     _interval_to_dict,
     parameter_names,
     reproduction_number,
@@ -359,39 +360,38 @@ def estimate(system: RegressionSystem) -> EstimationResult:
     )
 
 
-def _entry(name: str, true: float, est: float) -> dict:
-    relative = bool(true != 0.0 and np.isfinite(true))
-    error = abs(est - true) / abs(true) if relative else abs(est - true)
-    return {
-        "name": name,
-        "true": _json_float(true),
-        "estimate": _json_float(est),
-        "error": _json_float(error),
-        "relative": relative,
-    }
+def _rel_errors(true: np.ndarray, hats: np.ndarray) -> np.ndarray:
+    """The one error against a truth (error_metrics, the study tables): for every row of
+    hats (trials x k, or k), |hat - true| / |true|, or |hat - true| where true is zero."""
+    err = np.abs(hats - true)
+    return np.divide(err, np.abs(true), out=err, where=true != 0.0)
 
 
 def error_metrics(result: EstimationResult, truth: HybridModelSpec) -> dict:
     """Per-parameter and per-interval reproduction-number errors vs truth, as
     the JSON-ready {"params": [...], "r0": [...]} that `estimate --truth`
-    prints.  Each entry holds name, true, estimate, error and relative: the
-    error is relative where the true value is finite and nonzero, absolute
-    otherwise (relative false), and a NaN or infinite value is None."""
+    prints.  Each entry holds name, true, estimate, error (from _rel_errors)
+    and relative, which is true where the true value is finite and nonzero;
+    a NaN or infinite value is None."""
     theta_true = truth.theta
     if theta_true.size != result.theta_hat.size:
         raise ValueError(
             f"truth has {theta_true.size} parameters, estimate has {result.theta_hat.size}"
         )
-    names = parameter_names(truth.schedule.n_updates)
-    return {
-        "params": [
-            _entry(n, float(t), float(e)) for n, t, e in zip(names, theta_true, result.theta_hat)
-        ],
-        "r0": [
-            _entry(f"r0_{i}", reproduction_number(p), float(result.r0_hat[i]))
-            for i, p in enumerate(truth.intervals)
-        ],
-    }
+    r0_true = np.array([reproduction_number(p) for p in truth.intervals])
+    tables = (
+        ("params", parameter_names(truth.schedule.n_updates), theta_true, result.theta_hat),
+        ("r0", [f"r0_{i}" for i in range(r0_true.size)], r0_true, np.array(result.r0_hat)),
+    )
+    out = {}
+    for key, names, true, hats in tables:
+        rows = zip(names, true.tolist(), hats.tolist(), _rel_errors(true, hats).tolist())
+        out[key] = [
+            {"name": name, "true": _json_float(t), "estimate": _json_float(e),
+             "error": _json_float(err), "relative": bool(t != 0.0 and np.isfinite(t))}
+            for name, t, e, err in rows
+        ]
+    return out
 
 
 def forecast(spec: HybridModelSpec, x_start: float, horizon: int) -> Trajectory:
@@ -404,8 +404,7 @@ def forecast(spec: HybridModelSpec, x_start: float, horizon: int) -> Trajectory:
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if not 0.0 <= x_start <= 1.0:
-        raise ValueError(f"x_start must lie in [0, 1], got {x_start}")
+    x = _check_start(x_start)
     sched = spec.schedule
     # the recursion on the first horizon + 1 steps; the extra sample keeps a
     # release on the last forecast sample a valid schedule
@@ -413,5 +412,5 @@ def forecast(spec: HybridModelSpec, x_start: float, horizon: int) -> Trajectory:
     window = UpdateSchedule(
         update_steps=sched.update_steps[:last], final_step=horizon + 1, step_size=sched.step_size
     )
-    values, _ = _recurse(window, spec.intervals[: last + 1], x_start, check=False)
+    values, _ = _recurse(window, spec.intervals[: last + 1], x, check=False)
     return Trajectory(values=values[:-1], step_size=sched.step_size)

@@ -34,6 +34,7 @@ from .estimate import (
     EstimationResult,
     IdentifiabilityReport,
     _json_float,
+    _rel_errors,
     build_regression,
     check_identifiability,
     estimate,
@@ -44,6 +45,7 @@ from .model import (
     Scenario,
     Trajectory,
     UpdateSchedule,
+    _fields,
     _list,
     _load_json,
     _number,
@@ -169,12 +171,8 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     for regimes, h_values, sigma, trials, seed and fine_substeps."""
 
     def build(d: dict) -> ExperimentPlan:
-        allowed = {"scenario", "regimes", "h_values", "sigma", "trials", "seed", "fine_substeps"}
-        extra = set(d) - allowed
-        if extra:
-            raise ValueError(f"unknown fields {sorted(extra)}")
-        if "scenario" not in d:
-            raise ValueError("missing field 'scenario'")
+        allowed = ("scenario", "regimes", "h_values", "sigma", "trials", "seed", "fine_substeps")
+        _fields(d, ("scenario",), allowed)
         overrides = {k: v for k, v in d.items() if k != "scenario"}
         for key in ("regimes", "h_values"):
             if key in overrides:
@@ -182,13 +180,6 @@ def load_plan(path: str | Path) -> ExperimentPlan:
         return ExperimentPlan(scenario=scenario_from_dict(d["scenario"]), **overrides)
 
     return _load_json(path, build)
-
-
-def _rel_errors(true: np.ndarray, hats: np.ndarray) -> np.ndarray:
-    """Relative error of every row of hats (trials x k) against true (k,),
-    absolute where the true value is zero."""
-    err = np.abs(hats - true)
-    return np.divide(err, np.abs(true), out=err, where=true != 0.0)
 
 
 def _median_max(errs: np.ndarray, labels) -> dict:
@@ -447,8 +438,8 @@ def run_realdata_study(dataset: AlignedDataset, holdout: int | None = None) -> F
     # leave the generative ranges, and the recursion is still defined there
     sim, _ = _recurse(sched, result.intervals_hat, traj.values[0], check=False)
     diff = (sim - traj.values) * n
-    # the interval owning each sample; a release sample opens its interval
-    owner = np.searchsorted(sched.update_steps, np.arange(len(traj)), side="right")
+    # interval i owns samples start..stop of its bounds row: a release sample opens it
+    owner = np.repeat(np.arange(sched.n_intervals), sched.bounds[:, 1] - sched.bounds[:, 0] + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged refit scores inf or nan
         sq = diff**2
         rmse = float(np.sqrt(np.mean(sq)))

@@ -299,11 +299,17 @@ class Scenario:
     population: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x0", float(self.x0))
-        if not 0.0 <= self.x0 <= 1.0:
-            raise ValueError(f"x0 must lie in [0, 1], got {self.x0}")
+        object.__setattr__(self, "x0", _check_start(self.x0))
         if self.population is not None:
             object.__setattr__(self, "population", _check_population(self.population))
+
+
+def _check_start(x0) -> float:
+    """x0 as a float in [0, 1]: the one check of a starting share, for every caller."""
+    x0 = float(x0)
+    if not 0.0 <= x0 <= 1.0:
+        raise ValueError(f"x0 must lie in [0, 1], got {x0}")
+    return x0
 
 
 def _check_population(population) -> int:
@@ -345,19 +351,28 @@ def _list(value, field: str) -> list:
     return value
 
 
+def _fields(d: dict, required=(), allowed=None, where: str = "") -> None:
+    """Every JSON loader's field-set check: a ValueError, prefixed by where, for the keys
+    of d outside allowed (None allows any) or else for the first of required d lacks."""
+    extra = set(d) - set(d if allowed is None else allowed)
+    if extra:
+        raise ValueError(f"{where}unknown fields {sorted(extra)}")
+    for key in required:
+        if key not in d:
+            raise ValueError(f"{where}missing field '{key}'")
+
+
 def _interval_from_dict(d: dict, index: int) -> IntervalParams:
     if not isinstance(d, dict):
         raise ValueError(f"interval {index} must be a JSON object, got {d!r}")
-    extra = set(d) - {"alpha", "beta", "gamma"}
-    if extra:
-        raise ValueError(f"interval {index}: unknown fields {sorted(extra)}")
+    where = f"interval {index}: "
+    _fields(d, allowed=("alpha", "beta", "gamma"), where=where)
     if index == 0 and "alpha" in d:
         raise ValueError("interval 0 must not carry 'alpha'")
     values = {}
     for key in ("beta", "gamma") if index == 0 else ("beta", "gamma", "alpha"):
-        if key not in d:
-            raise ValueError(f"interval {index}: missing field '{key}'")
-        values[key] = _number(d[key], f"interval {index}: field '{key}'")
+        _fields(d, (key,), where=where)
+        values[key] = _number(d[key], f"{where}field '{key}'")
     return IntervalParams(**values)
 
 
@@ -376,9 +391,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def _schedule_from_dict(d: dict) -> UpdateSchedule:
-    for key in ("h", "update_steps", "final_step"):
-        if key not in d:
-            raise ValueError(f"missing field '{key}'")
+    _fields(d, ("h", "update_steps", "final_step"))
     return UpdateSchedule(
         update_steps=tuple(
             _number(t, "an entry of field 'update_steps'", int)
@@ -390,14 +403,9 @@ def _schedule_from_dict(d: dict) -> UpdateSchedule:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    allowed = {"h", "update_steps", "final_step", "intervals", "x0", "population"}
-    extra = set(d) - allowed
-    if extra:
-        raise ValueError(f"unknown fields {sorted(extra)}")
+    _fields(d, allowed=("h", "update_steps", "final_step", "intervals", "x0", "population"))
     schedule = _schedule_from_dict(d)
-    for key in ("intervals", "x0"):
-        if key not in d:
-            raise ValueError(f"missing field '{key}'")
+    _fields(d, ("intervals", "x0"))
     raw = _list(d["intervals"], "field 'intervals'")
     intervals = tuple(_interval_from_dict(entry, i) for i, entry in enumerate(raw))
     spec = HybridModelSpec(schedule=schedule, intervals=intervals)

@@ -30,6 +30,7 @@ count bit for bit, and at one sub-step it reproduces simulate_dt sample for
 sample.  All stochastic draws come from numpy's PCG64 generator seeded
 explicitly; normals are drawn in one batch, consumed in simulation order, so
 equal seeds give equal paths on any platform with the same numpy series.
+Every generator checks its start share x0 with model._check_start.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import HybridModelSpec, IntervalParams, Trajectory, UpdateSchedule
+from .model import HybridModelSpec, IntervalParams, Trajectory, UpdateSchedule, _check_start
 
 __all__ = [
     "StabilityWarning",
@@ -59,13 +60,6 @@ __all__ = [
 
 class StabilityWarning(UserWarning):
     """Step size large enough that the sampled recursion can oscillate."""
-
-
-def _check_start(x0: float) -> float:
-    x0 = float(x0)
-    if not 0.0 <= x0 <= 1.0:
-        raise ValueError(f"x0 must lie in [0, 1], got {x0}")
-    return x0
 
 
 def _warn_stability(spec: HybridModelSpec) -> None:

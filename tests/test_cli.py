@@ -174,6 +174,23 @@ def test_estimate_with_truth_recovers_parameters(tmp_path, capsys):
     assert all(e["relative"] for e in d["errors"]["r0"])
 
 
+def test_estimate_rejects_a_truth_for_another_schedule(tmp_path, capsys):
+    # the fit's schedule releases at 30 and 90 and ends at 150 with h = 1; a
+    # truth that changes any of these has intervals that do not correspond
+    traj_path = tmp_path / "traj.csv"
+    run_cli(capsys, "simulate", "--scenario", str(SCENARIO_PATH), "--mode", "dt",
+            "--out", str(traj_path))
+    truth = tmp_path / "truth.json"
+    for field, value in (("update_steps", [60, 120]), ("final_step", 149), ("h", 0.5)):
+        truth.write_text(json.dumps({**_SCENARIO, field: value}))
+        code, out, err = run_cli(
+            capsys, "estimate", "--traj", str(traj_path), "--schedule", str(SCENARIO_PATH),
+            "--truth", str(truth),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {truth}: truth schedule differs from that of {SCENARIO_PATH}\n"
+
+
 def test_estimate_strict_refuses_then_lenient_proceeds(tmp_path, capsys):
     traj_path = write_constant_traj(tmp_path / "flat.csv")
     sched_path = write_schedule(tmp_path / "sched.json", [5], 12)
@@ -317,6 +334,14 @@ def test_forecast_rejects_a_zero_horizon_by_its_name(capsys):
     )
     assert code == 2 and out == ""
     assert err == "error: horizon must be >= 1, got 0\n"
+
+
+def test_forecast_rejects_a_start_share_outside_the_unit_interval(capsys):
+    code, out, err = run_cli(
+        capsys, "forecast", "--params", str(SCENARIO_PATH), "--x0", "2", "--horizon", "5"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: x0 must lie in [0, 1], got 2.0\n"
 
 
 def test_forecast_stdout_matches_the_row_loop_past_the_unit_interval(tmp_path, capsys):

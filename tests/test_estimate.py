@@ -502,7 +502,7 @@ def test_forecast_validation(demo_scenario):
     spec = demo_scenario.spec
     with pytest.raises(ValueError):
         forecast(spec, 0.5, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^x0 must lie in \[0, 1\], got 1\.\d+$"):
         forecast(spec, 1.5, 3)
 
 

@@ -317,7 +317,7 @@ def test_trajectory_subsample():
 
 
 def test_scenario_validation(demo_scenario):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^x0 must lie in \[0, 1\], got 1\.\d+$"):
         Scenario(spec=demo_scenario.spec, x0=1.5)
     with pytest.raises(ValueError):
         Scenario(spec=demo_scenario.spec, x0=0.5, population=-3)

@@ -245,7 +245,7 @@ def test_simulation_config_validation():
         simulate_sde(spec, 0.1, sigma=-0.1)
     with pytest.raises(ValueError, match=r"^substeps must be >= 1, got 0$"):
         simulate_sde(spec, 0.1, substeps=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^x0 must lie in \[0, 1\], got 1\.\d+$"):
         simulate_ct(spec, 1.2)
 
 
