@@ -1,6 +1,6 @@
 """Time layers of the pipeline in one or more source trees.
 
-    python3 bench/layers.py [--layers csv,regression] [--reps R] [--sizes N,N,...]
+    python3 bench/layers.py [--layers csv,regression,json] [--reps R] [--sizes N,N,...]
                             [--shapes M:N,M:N,...] [--out FILE] LABEL=SRC_DIR ...
 
 Each LABEL=SRC_DIR names a checkout's src/ directory, timed in a fresh
@@ -35,7 +35,16 @@ The default shapes are the gated ones: the study's 3 intervals at h = 1 and
 h = 0.02 (150 and 7,500 rows), one catalog fit (48 intervals, 1,461 rows)
 and many_releases (301 intervals, 100,000 rows).
 
-Prints, or writes to FILE, one JSON object: {"layer": "csv io, regression",
+json: the CLI's JSON printer (cli._print_json, into a stdout that keeps
+nothing) on the two largest dicts the gated workloads print, both built
+from seeded noiseless data with the package's own calls:
+
+  json,estimate,m=300  the estimate --truth output of many_releases (301
+                       intervals, 100,000 rows, h = 0.01), mean of 10 calls;
+  json,fit,m=47        one catalog fit (48 intervals, 1,461 daily rows),
+                       mean of 100 calls.
+
+Prints, or writes to FILE, one JSON object: {"layer": "csv io, regression, json output",
 "unit": "s", "statistic": ..., "cells": {cell: {LABEL: seconds}},
 "peak_mib": {cell: {LABEL: MiB}}, "env": {...}}.
 """
@@ -43,6 +52,8 @@ Prints, or writes to FILE, one JSON object: {"layer": "csv io, regression",
 from __future__ import annotations
 
 import argparse
+import contextlib
+import datetime
 import json
 import os
 import platform
@@ -56,7 +67,7 @@ from pathlib import Path
 
 import numpy as np
 
-_LAYERS = {"csv": "csv io", "regression": "regression"}
+_LAYERS = {"csv": "csv io", "regression": "regression", "json": "json output"}
 
 
 def _csv_cases(sizes: list[int]):
@@ -125,6 +136,61 @@ def _time_regression(shapes: list[tuple[int, int]]) -> dict:
     return cells
 
 
+class _Discard:
+    """A stdout that keeps nothing, so a JSON timing holds no copy of the text."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def _time_json() -> dict:
+    from hybridsis import (
+        AlignedDataset,
+        HybridModelSpec,
+        IntervalParams,
+        UpdateSchedule,
+        build_regression,
+        check_identifiability,
+        error_metrics,
+        estimate,
+        run_realdata_study,
+        simulate_dt,
+    )
+    from hybridsis.cli import _print_json
+
+    rng = np.random.default_rng(22)
+
+    def spec(m: int, n: int, h: float) -> HybridModelSpec:
+        # R0 in [1.5, 3] and releases within 10%, so every share stays below 0.75
+        steps = tuple(n * (j + 1) // (m + 1) for j in range(m))
+        intervals = []
+        for i in range(m + 1):
+            beta = rng.uniform(0.3, 1.0)
+            alpha = None if i == 0 else rng.uniform(-0.1, 0.1)
+            intervals.append(IntervalParams(beta, beta / rng.uniform(1.5, 3.0), alpha))
+        return HybridModelSpec(UpdateSchedule(steps, n, h), tuple(intervals))
+
+    truth = spec(300, 100_000, 0.01)
+    system = build_regression(simulate_dt(truth, 0.05), truth.schedule)
+    report = check_identifiability(system)
+    result = estimate(system)
+    fitted = result.to_dict()
+    fitted["identifiability"] = report.to_dict()
+    fitted["errors"] = error_metrics(result, truth)
+
+    catalog = spec(47, 1_460, 1.0)
+    dataset = AlignedDataset(
+        simulate_dt(catalog, 0.05), catalog.schedule, 1_000_003, datetime.date(2020, 1, 1)
+    )
+    fit = run_realdata_study(dataset).to_dict()
+
+    cells = {}
+    with contextlib.redirect_stdout(_Discard()):
+        for name, d, batch in (("estimate,m=300", fitted, 10), ("fit,m=47", fit, 100)):
+            cells[f"json,{name}"] = _measure(lambda: _print_json(d), batch)
+    return cells
+
+
 def _shape(text: str) -> tuple[int, int]:
     m, _, n = text.partition(":")
     return int(m), int(float(n))
@@ -152,11 +218,14 @@ def main(argv: list[str] | None = None) -> int:
             cells.update(_time_csv(args.sizes))
         if "regression" in args.layers:
             cells.update(_time_regression(args.shapes))
+        if "json" in args.layers:
+            cells.update(_time_json())
         print(json.dumps(cells))
         return 0
     timings: dict[str, dict[str, list[float]]] = {}
     peaks: dict[str, dict[str, float]] = {}
-    env = dict(os.environ, PYTHONPATH="", OPENBLAS_NUM_THREADS="1")
+    # no bytecode cache is left in a timed tree: one there moves perfbench's numbers
+    env = dict(os.environ, PYTHONPATH="", PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
     for rep in range(args.reps):
         for tree in args.trees if rep % 2 == 0 else args.trees[::-1]:
             label, _, src = tree.partition("=")

@@ -18,7 +18,6 @@ import dataclasses
 import datetime as dt
 import functools
 import hashlib
-import json
 import sys
 import time
 import warnings
@@ -36,7 +35,7 @@ from .estimate import (
 )
 from .experiments import load_plan, run_noise_study, run_realdata_study
 from .ingest import align, load_series, load_update_dates
-from .model import load_scenario, load_schedule
+from .model import _dump_json, load_scenario, load_schedule
 from .simulate import (
     read_trajectory_csv,
     simulate_ct,
@@ -81,13 +80,12 @@ def _write_manifest(
         "duration_s": time.time() - started,
     }
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+        fh.write(_dump_json(manifest) + "\n")
 
 
 def _print_json(d: dict) -> None:
     # strict JSON: a NaN or infinity that reaches here raises ValueError
-    print(json.dumps(d, indent=2, allow_nan=False))
+    print(_dump_json(d))
 
 
 def _recording_warnings(fn, *args):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -45,6 +44,7 @@ from .model import (
     Scenario,
     Trajectory,
     UpdateSchedule,
+    _dump_json,
     _fields,
     _list,
     _load_json,
@@ -173,6 +173,8 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     def build(d: dict) -> ExperimentPlan:
         allowed = ("scenario", "regimes", "h_values", "sigma", "trials", "seed", "fine_substeps")
         _fields(d, ("scenario",), allowed)
+        if not isinstance(d["scenario"], dict):
+            raise ValueError(f"field 'scenario' must be a JSON object, got {d['scenario']!r}")
         overrides = {k: v for k, v in d.items() if k != "scenario"}
         for key in ("regimes", "h_values"):
             if key in overrides:
@@ -296,8 +298,7 @@ class NoiseStudyResult:
 
         p = out / "summary.json"
         with open(p, "w", encoding="utf-8") as fh:
-            json.dump(self.summary(), fh, indent=2, allow_nan=False)
-            fh.write("\n")
+            fh.write(_dump_json(self.summary()) + "\n")
         paths.append(p)
         return paths
 

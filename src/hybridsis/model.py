@@ -30,7 +30,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -430,6 +430,52 @@ def _load_json(path: str | Path, build):
         return build(d)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+_JSON_CONTAINERS = (dict, list, tuple)
+
+
+@cache
+def _json_encoder(depth: int) -> json.JSONEncoder:
+    """json's C encoder for the items of a container at indent depth.  It runs
+    only without indent, so its item separator carries the newline and indent
+    that indent=2 puts between items."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "), allow_nan=False)
+
+
+def _dump_json(obj) -> str:
+    """json.dumps(obj, indent=2, allow_nan=False), byte for byte, and its errors.
+    Every container of scalars is encoded in C; only containers that hold
+    containers are walked here."""
+    try:
+        return _indented(obj, 0)
+    except ValueError:
+        # the C encoder's NaN message omits the value: raise json.dumps's own
+        json.dumps(obj, indent=2, allow_nan=False)
+        raise
+
+
+def _indented(obj, depth: int) -> str:
+    enc = _json_encoder(depth)
+    if not isinstance(obj, _JSON_CONTAINERS) or not obj:
+        return enc.encode(obj)
+    sep = enc.item_separator
+    items = obj.values() if isinstance(obj, dict) else obj
+    if not any(isinstance(v, _JSON_CONTAINERS) for v in items):
+        text = enc.encode(obj)
+        first, body, last = text[0], text[1:-1], text[-1]
+    elif isinstance(obj, dict):
+        # encoding {k: None} (then dropping "{" and ": null}") applies json's key
+        # rules: a number, bool or None key is quoted as its JSON text, any
+        # other non-str key raises
+        first, last = "{}"
+        body = sep.join(
+            f"{enc.encode({k: None})[1:-7]}: {_indented(v, depth + 1)}" for k, v in obj.items()
+        )
+    else:
+        first, last = "[]"
+        body = sep.join(_indented(v, depth + 1) for v in obj)
+    return f"{first}{sep[1:]}{body}\n{'  ' * depth}{last}"
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -92,7 +92,8 @@ def test_simulate_ct_writes_the_closed_form_flow_with_a_count_column(tmp_path, c
 
 def test_cli_runs_without_scipy(tmp_path):
     # no module imports scipy: the CLI runs with the import blocked, entered as
-    # `python -m hybridsis.cli`, so main reads its arguments from sys.argv
+    # `python -m hybridsis.cli`, so main reads its arguments from sys.argv; -B
+    # keeps the run from leaving a bytecode cache in src/
     out = tmp_path / "traj.csv"
     code = (
         "import runpy, sys; sys.modules['scipy'] = None; "
@@ -100,7 +101,7 @@ def test_cli_runs_without_scipy(tmp_path):
     )
     src = str(Path(hybridsis.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", code, "simulate", "--scenario", str(SCENARIO_PATH),
+        [sys.executable, "-B", "-c", code, "simulate", "--scenario", str(SCENARIO_PATH),
          "--mode", "dt", "--out", str(out)],
         env={"PYTHONPATH": src}, capture_output=True, text=True,
     )
@@ -686,6 +687,13 @@ WRONGLY_TYPED = [
          "interval 1: field 'beta' must be a number, got 'abc'"),
     case("estimate", "update_steps", [90, 30], "update steps must be strictly increasing"),
     case("study", "scenario", _NO_X0, "missing field 'x0'"),
+    case("study", "scenario", 5, "field 'scenario' must be a JSON object, got 5",
+         id="study-scenario-number"),
+    case("study", "scenario", None, "field 'scenario' must be a JSON object, got None",
+         id="study-scenario-null"),
+    case("study", "scenario", ["h", "update_steps"],
+         "field 'scenario' must be a JSON object, got ['h', 'update_steps']",
+         id="study-scenario-list"),
     case("forecast", "x0", "abc", "field 'x0' must be a number, got 'abc'"),
     case("simulate", "h", "abc", "field 'h' must be a number, got 'abc'"),
     case("identify", "final_step", "abc", "field 'final_step' must be a number, got 'abc'"),

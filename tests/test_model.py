@@ -23,7 +23,7 @@ from hybridsis import (
     theta_pack,
     theta_unpack,
 )
-from hybridsis.model import scenario_from_dict, scenario_to_dict, theta_slice
+from hybridsis.model import _dump_json, scenario_from_dict, scenario_to_dict, theta_slice
 
 DEMO_SCHED = UpdateSchedule(update_steps=(30, 90), final_step=150, step_size=1.0)
 
@@ -365,3 +365,58 @@ def test_load_schedule_reads_any_scenario_shaped_file(tmp_path, demo_scenario):
         json.dump(scenario_to_dict(demo_scenario), fh)
     sched = load_schedule(path)
     assert sched == demo_scenario.spec.schedule
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(10**40)])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 1e16, 5e-324, 0.1])
+    | st.text()
+    | st.sampled_from(["\x00\x1f\n\t\"\\", "ü € ☃ \U0001f600"])
+)
+_NOT_JSON = st.sampled_from([math.nan, math.inf, -math.inf]) | st.builds(object)
+
+
+def _json_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=24,
+    )
+
+
+def _outcome(dump, obj):
+    try:
+        return dump(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _json_dumps(obj):
+    return json.dumps(obj, indent=2, allow_nan=False)
+
+
+@given(_json_trees(_JSON_LEAVES))
+def test_dump_json_is_json_dumps_byte_for_byte(obj):
+    assert _dump_json(obj).encode() == _json_dumps(obj).encode()
+
+
+@given(st.tuples(_json_trees(_JSON_LEAVES | _NOT_JSON), _NOT_JSON).map(list))
+def test_dump_json_raises_what_json_dumps_raises(obj):
+    # the last leaf always fails, and an earlier one may fail first
+    expected = _outcome(_json_dumps, obj)
+    assert isinstance(expected, tuple)
+    assert _outcome(_dump_json, obj) == expected
+
+
+def test_dump_json_keys_follow_json_dumps():
+    # a nested dict's number, bool and None keys are quoted as their JSON text
+    obj = {"a": {1.5: [1], True: {}, None: [[]], 3: ["x"]}, 2: [0.1]}
+    assert _dump_json(obj) == _json_dumps(obj)
+    for bad in ({(1,): [1]}, {"a": [{(1,): 2}]}, {"a": {math.nan: [1]}}):
+        assert _outcome(_dump_json, bad) == _outcome(_json_dumps, bad)
