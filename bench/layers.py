@@ -1,6 +1,6 @@
 """Time layers of the pipeline in one or more source trees.
 
-    python3 bench/layers.py [--layers csv,regression,json] [--reps R] [--sizes N,N,...]
+    python3 bench/layers.py [--layers csv,regression,json,simulate] [--reps R] [--sizes N,N,...]
                             [--shapes M:N,M:N,...] [--out FILE] LABEL=SRC_DIR ...
 
 Each LABEL=SRC_DIR names a checkout's src/ directory, timed in a fresh
@@ -44,7 +44,22 @@ from seeded noiseless data with the package's own calls:
   json,fit,m=47        one catalog fit (48 intervals, 1,461 daily rows),
                        mean of 100 calls.
 
-Prints, or writes to FILE, one JSON object: {"layer": "csv io, regression, json output",
+simulate (for each n in --sizes and m in 2 and 300): the generators on n
+samples with m releases evenly spaced, h = 0.01 and x0 = 0.05, each
+interval's R0 drawn from [1.5, 3] and each release from [-0.1, 0.1], so
+every share stays below 0.75:
+
+  simulate,dt,m=M,n=N                 simulate_dt;
+  simulate,ct,m=M,n=N                 simulate_ct;
+  simulate,sde,m=M,n=N                simulate_sde, sigma = 0.01, one sub-step;
+  simulate,observation_noise,m=M,n=N  add_observation_noise, sigma = 0.01, on
+                                      the simulate_dt path;
+  simulate,forecast,m=M,n=N           forecast over the n samples.
+
+One timing is the mean over a batch of max(1, 1000000 // N) calls, after
+one warm-up call.
+
+Prints, or writes to FILE, one JSON object: {"layer": "csv io, regression, json output, simulate",
 "unit": "s", "statistic": ..., "cells": {cell: {LABEL: seconds}},
 "peak_mib": {cell: {LABEL: MiB}}, "env": {...}}.
 """
@@ -67,7 +82,8 @@ from pathlib import Path
 
 import numpy as np
 
-_LAYERS = {"csv": "csv io", "regression": "regression", "json": "json output"}
+_LAYERS = {"csv": "csv io", "regression": "regression", "json": "json output",
+           "simulate": "simulate"}
 
 
 def _csv_cases(sizes: list[int]):
@@ -143,12 +159,23 @@ class _Discard:
         return len(text)
 
 
+def _spec(rng, m: int, n: int, h: float):
+    """m releases evenly spaced over n steps: R0 in [1.5, 3] and releases
+    within 10%, so every share from 0.05 stays below 0.75."""
+    from hybridsis import HybridModelSpec, IntervalParams, UpdateSchedule
+
+    steps = tuple(n * (j + 1) // (m + 1) for j in range(m))
+    intervals = []
+    for i in range(m + 1):
+        beta = rng.uniform(0.3, 1.0)
+        alpha = None if i == 0 else rng.uniform(-0.1, 0.1)
+        intervals.append(IntervalParams(beta, beta / rng.uniform(1.5, 3.0), alpha))
+    return HybridModelSpec(UpdateSchedule(steps, n, h), tuple(intervals))
+
+
 def _time_json() -> dict:
     from hybridsis import (
         AlignedDataset,
-        HybridModelSpec,
-        IntervalParams,
-        UpdateSchedule,
         build_regression,
         check_identifiability,
         error_metrics,
@@ -159,18 +186,7 @@ def _time_json() -> dict:
     from hybridsis.cli import _print_json
 
     rng = np.random.default_rng(22)
-
-    def spec(m: int, n: int, h: float) -> HybridModelSpec:
-        # R0 in [1.5, 3] and releases within 10%, so every share stays below 0.75
-        steps = tuple(n * (j + 1) // (m + 1) for j in range(m))
-        intervals = []
-        for i in range(m + 1):
-            beta = rng.uniform(0.3, 1.0)
-            alpha = None if i == 0 else rng.uniform(-0.1, 0.1)
-            intervals.append(IntervalParams(beta, beta / rng.uniform(1.5, 3.0), alpha))
-        return HybridModelSpec(UpdateSchedule(steps, n, h), tuple(intervals))
-
-    truth = spec(300, 100_000, 0.01)
+    truth = _spec(rng, 300, 100_000, 0.01)
     system = build_regression(simulate_dt(truth, 0.05), truth.schedule)
     report = check_identifiability(system)
     result = estimate(system)
@@ -178,7 +194,7 @@ def _time_json() -> dict:
     fitted["identifiability"] = report.to_dict()
     fitted["errors"] = error_metrics(result, truth)
 
-    catalog = spec(47, 1_460, 1.0)
+    catalog = _spec(rng, 47, 1_460, 1.0)
     dataset = AlignedDataset(
         simulate_dt(catalog, 0.05), catalog.schedule, 1_000_003, datetime.date(2020, 1, 1)
     )
@@ -188,6 +204,34 @@ def _time_json() -> dict:
     with contextlib.redirect_stdout(_Discard()):
         for name, d, batch in (("estimate,m=300", fitted, 10), ("fit,m=47", fit, 100)):
             cells[f"json,{name}"] = _measure(lambda: _print_json(d), batch)
+    return cells
+
+
+def _time_simulate(sizes: list[int]) -> dict:
+    from hybridsis import (
+        add_observation_noise,
+        forecast,
+        simulate_ct,
+        simulate_dt,
+        simulate_sde,
+    )
+
+    rng = np.random.default_rng(23)
+    cells = {}
+    for n in sizes:
+        for m in (2, 300):
+            spec = _spec(rng, m, n - 1, 0.01)
+            path = simulate_dt(spec, 0.05)
+            calls = {
+                "dt": lambda: simulate_dt(spec, 0.05),
+                "ct": lambda: simulate_ct(spec, 0.05),
+                "sde": lambda: simulate_sde(spec, 0.05, seed=23, sigma=0.01),
+                "observation_noise": lambda: add_observation_noise(path, 0.01, seed=23),
+                "forecast": lambda: forecast(spec, 0.05, n - 1),
+            }
+            for name, call in calls.items():
+                call()  # a warm-up: no timing holds a first call's one-off costs
+                cells[f"simulate,{name},m={m},n={n}"] = _measure(call, max(1, 1_000_000 // n))
     return cells
 
 
@@ -220,6 +264,8 @@ def main(argv: list[str] | None = None) -> int:
             cells.update(_time_regression(args.shapes))
         if "json" in args.layers:
             cells.update(_time_json())
+        if "simulate" in args.layers:
+            cells.update(_time_simulate(args.sizes))
         print(json.dumps(cells))
         return 0
     timings: dict[str, dict[str, list[float]]] = {}

@@ -224,6 +224,7 @@ def align(
     if smooth7:
         values = _smooth_weekly(values)
     x = values / population
+    x.setflags(write=False)  # handed to the trajectory, which adopts it
 
     schedule = UpdateSchedule(update_steps=tuple(steps), final_step=final_step, step_size=1.0)
     traj = Trajectory(values=x, step_size=1.0, population=population)

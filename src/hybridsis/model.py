@@ -220,9 +220,10 @@ class HybridModelSpec:
 class Trajectory:
     """A sampled share trajectory.  values[k] is the share at time k * step_size.
 
-    The value array is copied and frozen on construction; NaN and infinity
-    are rejected.  population, when set, gives the unit scale for converting
-    shares to user counts, at most 2**53 as in Scenario.
+    A read-only float64 array that owns its memory is adopted; anything
+    else is copied, and the copy frozen.  NaN, infinity and any shape but
+    1-D are rejected.  population, when set, gives the unit scale for
+    converting shares to user counts, at most 2**53 as in Scenario.
     clamp_count records how many samples a producing routine had to clamp
     back into range (noise injection, SDE floor at zero).
     """
@@ -233,7 +234,10 @@ class Trajectory:
     clamp_count: int = 0
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=float)
+        arr = self.values
+        if not (type(arr) is np.ndarray and arr.dtype == float and arr.base is None) \
+                or arr.flags.writeable:
+            arr = np.array(arr, dtype=float)
         if arr.ndim != 1:
             raise ValueError(f"trajectory values must be one-dimensional, got shape {arr.shape}")
         if arr.size < 2:

@@ -28,8 +28,9 @@ place to w = sigma * sqrt(dt) * z, and the noiseless callers add w = 0.0.
 simulate_sde with sigma=0 is the noiseless Euler recursion at any sub-step
 count bit for bit, and at one sub-step it reproduces simulate_dt sample for
 sample.  All stochastic draws come from numpy's PCG64 generator seeded
-explicitly; normals are drawn in one batch, consumed in simulation order, so
-equal seeds give equal paths on any platform with the same numpy series.
+explicitly; normals are drawn in fixed-size chunks of the one generator's
+stream, consumed in simulation order, so equal seeds give equal paths on any
+platform with the same numpy series.  Each generator allocates its output once.
 Every generator checks its start share x0 with model._check_start.
 """
 
@@ -41,7 +42,7 @@ import warnings
 from functools import partial
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,6 +57,9 @@ __all__ = [
     "write_trajectory_csv",
     "read_trajectory_csv",
 ]
+
+_CHUNK = 8192  # normals drawn, or flow samples evaluated, at a time: the only other working memory
+_WRITE_CHUNK = 2048  # rows formatted and written at a time: bounds the working set
 
 
 class StabilityWarning(UserWarning):
@@ -92,7 +96,7 @@ def _recurse(
     x0: float,
     *,
     substeps: int = 1,
-    noise: Sequence[float] | None = None,
+    noise: Iterable[Sequence[float]] | None = None,
     check: bool = True,
 ) -> tuple[np.ndarray, int]:
     """The sampled recursion over a schedule; returns (values, clamps).
@@ -106,22 +110,34 @@ def _recurse(
 
     dt = h / substeps, which is x + dt * (beta (1 - x) x - gamma x) + w x
     factored so that a step costs five float operations.  Without `noise`,
-    w = 0.0, and adding 0.0 is exact.  With `noise`, the already scaled
-    increments w = sigma * sqrt(dt) * z are consumed in order, one per step,
-    and each step floors the result at zero, counting each floor in clamps.
+    w = 0.0, and adding 0.0 is exact.  `noise` is an iterable of float64
+    chunks of the scaled increments w = sigma * sqrt(dt) * z, consumed in
+    order, one per step, as memoryview slices; the next chunk is asked for
+    only once this one is spent, so a producer may refill one buffer.  With
+    noise, each step floors the result at zero, counting each floor in clamps.
 
     The run yields every state, and x0 and each release state are yielded
     `substeps` times, so every sample is `substeps` consecutive states; the
     islice keeps the last of each, and np.fromiter writes it straight into
-    the output array.
+    the output array, which is returned frozen.
     """
     clamps = 0
+    chunks = None if noise is None else iter(noise)
+    chunk, used = memoryview(b""), 0  # the current chunk and how much of it is spent
+
+    def increments(n: int):  # the next n, as slices of the chunks
+        nonlocal chunk, used
+        while n:
+            if used == len(chunk):
+                chunk, used = memoryview(next(chunks)), 0
+            k = min(n, len(chunk) - used)
+            yield chunk[used : used + k]
+            used, n = used + k, n - k
 
     def states():
         nonlocal clamps
         dt = schedule.step_size / substeps
-        draws = None if noise is None else iter(noise)
-        floor = draws is not None
+        floor = chunks is not None
         x = float(x0)
         yield from repeat(x, substeps)
         for i, (p, (start, stop)) in enumerate(zip(intervals, schedule.bounds.tolist())):
@@ -130,15 +146,17 @@ def _recurse(
                 yield from repeat(x, substeps)
             a, c = dt * (p.beta - p.gamma), dt * p.beta
             n = (stop - start) * substeps
-            for w in repeat(0.0, n) if draws is None else islice(draws, n):
-                x = x + x * (a - c * x + w)
-                if x < 0.0 and floor:
-                    x = 0.0
-                    clamps += 1
-                yield x
+            for run in (repeat(0.0, n),) if chunks is None else increments(n):
+                for w in run:
+                    x = x + x * (a - c * x + w)
+                    if x < 0.0 and floor:
+                        x = 0.0
+                        clamps += 1
+                    yield x
 
     kept = islice(states(), substeps - 1, None, substeps)
     values = np.fromiter(kept, float, schedule.n_samples)
+    values.setflags(write=False)
     return values, clamps
 
 
@@ -192,9 +210,11 @@ def simulate_ct(spec: HybridModelSpec, x0: float) -> Trajectory:
         if i > 0:  # the release sample T_i opens interval i
             x = _apply_jump(x, p.alpha, i, check=True)
             xs[start] = x
-        t = sched.step_size * np.arange(1, stop - start + 1)
-        xs[start + 1 : stop + 1] = _logistic_flow(x, p.beta, p.gamma, t)
+        for a in range(start, stop, _CHUNK):  # the flow _CHUNK samples at a time
+            t = sched.step_size * np.arange(a - start + 1, min(a + _CHUNK, stop) - start + 1)
+            xs[a + 1 : a + 1 + t.size] = _logistic_flow(x, p.beta, p.gamma, t)
         x = float(xs[stop])
+    xs.setflags(write=False)
     return Trajectory(values=xs, step_size=sched.step_size)
 
 
@@ -213,13 +233,16 @@ def simulate_sde(
         x <- x + dt * (beta (1 - x) x - gamma x) + sigma * x * sqrt(dt) * z
 
     with z standard normal, evaluated as x + x * (a - c * x + w) (see
-    _recurse) once the batch of normals is scaled in place to the increments
-    w = sigma * sqrt(dt) * z.  Zero is absorbing for the noiseless flow, so
-    any excursion below zero is clamped back to zero and counted in the
-    returned trajectory's clamp_count.  With sigma = 0 every w is zero and
-    the output is the noiseless Euler recursion bit for bit, which at one
-    sub-step equals simulate_dt.  seed seeds the PCG64 generator, substeps
-    is the number of Euler steps per sample.
+    _recurse).  The normals are fixed-size chunks of the one generator's
+    stream, consumed in simulation order: _CHUNK at a time are drawn into one
+    buffer and scaled there to the increments w = sigma * sqrt(dt) * z, so
+    working memory grows with neither the path nor substeps.  Zero is
+    absorbing for the noiseless flow, so any excursion below zero is clamped
+    back to zero and counted in the returned trajectory's clamp_count.  With
+    sigma = 0 every w is zero and the output is the noiseless Euler
+    recursion bit for bit, which at one sub-step equals simulate_dt.  seed
+    seeds the PCG64 generator, substeps is the number of Euler steps per
+    sample.
     """
     sigma, substeps = float(sigma), int(substeps)
     if not 0.0 <= sigma < math.inf:  # NaN fails too
@@ -229,10 +252,11 @@ def simulate_sde(
     x = _check_start(x0)
     sched = spec.schedule
     rng = np.random.Generator(np.random.PCG64(seed))
-    # one batch, consumed in simulation order; every step but a release flows
-    noise = rng.standard_normal((sched.final_step - sched.n_updates) * substeps)
-    noise *= sigma * math.sqrt(sched.step_size / substeps)  # in place: no second array
-    xs, clamps = _recurse(sched, spec.intervals, x, substeps=substeps, noise=memoryview(noise))
+    scale, buffer = sigma * math.sqrt(sched.step_size / substeps), np.empty(_CHUNK)
+    total = (sched.final_step - sched.n_updates) * substeps  # every step but a release flows
+    chunks = (buffer[: min(total - a, _CHUNK)] for a in range(0, total, _CHUNK))
+    noise = (np.multiply(rng.standard_normal(out=z), scale, out=z) for z in chunks)  # lazy
+    xs, clamps = _recurse(sched, spec.intervals, x, substeps=substeps, noise=noise)
     return Trajectory(values=xs, step_size=sched.step_size, clamp_count=clamps)
 
 
@@ -246,18 +270,19 @@ def add_observation_noise(traj: Trajectory, sigma: float, seed: int) -> Trajecto
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    noisy = traj.values + sigma * rng.standard_normal(len(traj))
-    clipped = np.clip(noisy, 0.0, 1.0)
-    clamps = int(np.count_nonzero(clipped != noisy))
+    noisy = rng.standard_normal(len(traj))  # the result is built in place here
+    noisy *= sigma
+    noisy += traj.values
+    clamps = int(np.count_nonzero(noisy < 0.0)) + int(np.count_nonzero(noisy > 1.0))
+    np.clip(noisy, 0.0, 1.0, out=noisy)
+    noisy.setflags(write=False)
     return Trajectory(
-        values=clipped,
+        values=noisy,
         step_size=traj.step_size,
         population=traj.population,
         clamp_count=clamps,
     )
 
-
-_WRITE_CHUNK = 2048  # rows formatted and written at a time: bounds the working set
 
 # Rows are laid out as uint32 words, each holding up to four ASCII bytes
 # padded with NUL, and joined by deleting every NUL.  A number takes one word

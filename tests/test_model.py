@@ -274,12 +274,32 @@ def test_trajectory_rejects_non_finite_values(bad):
 
 
 def test_trajectory_copies_and_freezes_values():
+    # a list, a writeable array and a read-only view are copied, so changing
+    # the source afterwards leaves the trajectory as it was
+    listed = [0.1, 0.2, 0.3]
+    writeable = np.array(listed)
+    base = np.array([0.9, *listed])
+    view = base[1:]
+    view.setflags(write=False)
+    for src, owner in ((listed, listed), (writeable, writeable), (view, base)):
+        traj = Trajectory(values=src, step_size=0.5)
+        owner[-1] = 9.9
+        assert traj.values.tolist() == [0.1, 0.2, 0.3]
+        with pytest.raises(ValueError):
+            traj.values[0] = 0.0
+
+
+def test_trajectory_adopts_a_frozen_owning_float64_array():
     src = np.array([0.1, 0.2, 0.3])
+    src.setflags(write=False)
     traj = Trajectory(values=src, step_size=0.5)
-    src[0] = 9.9
-    assert traj.values[0] == 0.1
-    with pytest.raises(ValueError):
-        traj.values[0] = 0.0
+    assert traj.values is src and np.shares_memory(traj.values, src)
+    # so a replaced trajectory shares its parent's values
+    assert dataclasses.replace(traj, population=10).values is src
+    # another dtype is copied, even when frozen and owning
+    single = np.array([0.1, 0.2, 0.3], dtype=np.float32)
+    single.setflags(write=False)
+    assert not np.shares_memory(Trajectory(values=single, step_size=0.5).values, single)
 
 
 def test_trajectory_counts_and_times():

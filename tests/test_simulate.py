@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from functools import partial
 from pathlib import Path
@@ -470,6 +471,73 @@ def test_recursion_outputs_are_pinned(name, demo_scenario, tmp_path):
     assert list(got) == list(RECURSION_GOLDEN[name])
 
 
+def _one_batch_sde(spec, x0, seed, sigma, substeps):
+    """simulate_sde as first written: every normal drawn in one batch and
+    scaled in place, then fed to the recursion as a single chunk."""
+    sched = spec.schedule
+    rng = np.random.Generator(np.random.PCG64(seed))
+    batch = rng.standard_normal((sched.final_step - sched.n_updates) * substeps)
+    batch *= sigma * math.sqrt(sched.step_size / substeps)
+    return hybridsis.simulate._recurse(sched, spec.intervals, x0, substeps=substeps, noise=[batch])
+
+
+@pytest.mark.parametrize("substeps", [1, 3, 7])
+def test_chunked_normals_equal_one_batch(substeps):
+    chunk = hybridsis.simulate._CHUNK
+    assert chunk == 8192
+    # before release 2, 8192 samples have flowed, so 8192 * substeps draws
+    # are spent: release 2 sits exactly on a chunk boundary, releases 1 and
+    # 3 just before and after it, and the path runs over 4 chunks of draws
+    steps = (chunk - 50, chunk + 2, chunk + 60)
+    intervals = [IntervalParams(beta=0.6, gamma=0.2)] + [
+        IntervalParams(alpha=a, beta=0.5, gamma=0.3) for a in (-0.2, -0.3, -0.1)
+    ]
+    spec = HybridModelSpec(UpdateSchedule(steps, 4 * chunk + 100, 0.05), tuple(intervals))
+    for seed, sigma in ((3, 0.05), (8, 0.5)):
+        got = simulate_sde(spec, 0.2, seed=seed, sigma=sigma, substeps=substeps)
+        values, clamps = _one_batch_sde(spec, 0.2, seed, sigma, substeps)
+        assert got.values.tobytes() == values.tobytes()
+        assert got.clamp_count == clamps
+        assert values[-1] > 0.0  # no floor absorbed the path before the last chunk
+
+
+def _heap_peak_mib(call) -> float:
+    """The tracemalloc peak of one call, made after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_sde_working_memory_does_not_grow_with_substeps():
+    # 2,001 samples at 500 sub-steps are 1e6 normals, 7.6 MiB in one batch
+    spec = single_interval(0.5, 0.2, 2000, h=0.1)
+    assert _heap_peak_mib(lambda: simulate_sde(spec, 0.05, seed=1, sigma=0.01, substeps=500)) < 0.25
+
+
+@pytest.mark.parametrize("name", ["dt", "ct-m2", "ct-m300", "sde", "observation_noise"])
+def test_generators_allocate_their_output_once(name):
+    n = 200_000
+    m = 300 if name == "ct-m300" else 2
+    steps = tuple(n * (j + 1) // (m + 1) for j in range(m))
+    intervals = [IntervalParams(beta=0.5, gamma=0.2)] + [
+        IntervalParams(alpha=(-0.05, 0.05)[j % 2], beta=0.5, gamma=0.25) for j in range(m)
+    ]
+    spec = HybridModelSpec(UpdateSchedule(steps, n - 1, 0.01), tuple(intervals))
+    clean = simulate_dt(spec, 0.05)
+    call = {
+        "dt": lambda: simulate_dt(spec, 0.05),
+        "ct": lambda: simulate_ct(spec, 0.05),
+        "sde": lambda: simulate_sde(spec, 0.05, seed=2, sigma=0.01),
+        "observation_noise": lambda: add_observation_noise(clean, 0.01, seed=3),
+    }[name.split("-")[0]]
+    output = n * 8 / 2**20
+    assert _heap_peak_mib(call) <= 1.15 * output + 0.1
+
+
 def test_observation_noise_determinism_and_clipping():
     clean = Trajectory(values=np.full(2001, 0.5), step_size=1.0, population=1000)
     a = add_observation_noise(clean, 0.02, seed=11)
@@ -669,6 +737,19 @@ def test_csv_io_bench_runs_at_toy_size(tmp_path):
     assert all(set(cell) == {"here"} and cell["here"] > 0 for cell in report["peak_mib"].values())
     assert set(report) == {"layer", "unit", "statistic", "cells", "peak_mib", "env"}
     assert set(report["env"]) >= {"python", "numpy", "nproc"}
+
+
+def test_simulate_bench_runs_at_toy_size(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(ROOT / "bench" / "layers.py"), "--layers", "simulate",
+                    "--reps", "1", "--sizes", "1000", "--out", str(out), f"here={ROOT / 'src'}"],
+                   check=True)
+    report = json.loads(out.read_text())
+    want = [f"simulate,{name},m={m},n=1000" for m in (2, 300)
+            for name in ("dt", "ct", "sde", "observation_noise", "forecast")]
+    assert sorted(report["cells"]) == sorted(report["peak_mib"]) == sorted(want)
+    assert all(cell["here"] > 0 for cell in report["peak_mib"].values())
+    assert report["layer"] == "simulate"
 
 
 shares = st.one_of(
