@@ -1,6 +1,6 @@
 """Time layers of the pipeline in one or more source trees.
 
-    python3 bench/layers.py [--layers csv,regression,json,simulate] [--reps R] [--sizes N,N,...]
+    python3 bench/layers.py [--layers csv,regression,json,simulate,align] [--reps R] [--sizes N,N,...]
                             [--shapes M:N,M:N,...] [--out FILE] LABEL=SRC_DIR ...
 
 Each LABEL=SRC_DIR names a checkout's src/ directory, timed in a fresh
@@ -44,7 +44,7 @@ from seeded noiseless data with the package's own calls:
   json,fit,m=47        one catalog fit (48 intervals, 1,461 daily rows),
                        mean of 100 calls.
 
-simulate (for each n in --sizes and m in 2 and 300): the generators on n
+simulate (for each n in --sizes and m in 2, 50 and 300): the generators on n
 samples with m releases evenly spaced, h = 0.01 and x0 = 0.05, each
 interval's R0 drawn from [1.5, 3] and each release from [-0.1, 0.1], so
 every share stays below 0.75:
@@ -59,7 +59,18 @@ every share stays below 0.75:
 One timing is the mean over a batch of max(1, 1000000 // N) calls, after
 one warm-up call.
 
-Prints, or writes to FILE, one JSON object: {"layer": "csv io, regression, json output, simulate",
+align (for each n in --sizes and m in 2, 50 and 300): ingest.align on a
+seeded daily series of n days from 2000-01-01, counts drawn uniformly from
+[0, 1,000,003], with m release dates evenly spaced inside it and population
+1,000,003, as fit runs it without a window:
+
+  align,m=M,n=N          plain;
+  align,smooth7,m=M,n=N  with the 7-day moving average.
+
+align builds the dataset's UpdateSchedule and Trajectory, so its cells hold
+their argument checks too.  Batches and warm-up as for simulate.
+
+Prints, or writes to FILE, one JSON object: {"layer": "csv io, regression, json output, simulate, align",
 "unit": "s", "statistic": ..., "cells": {cell: {LABEL: seconds}},
 "peak_mib": {cell: {LABEL: MiB}}, "env": {...}}.
 """
@@ -83,7 +94,8 @@ from pathlib import Path
 import numpy as np
 
 _LAYERS = {"csv": "csv io", "regression": "regression", "json": "json output",
-           "simulate": "simulate"}
+           "simulate": "simulate", "align": "align"}
+_RELEASES = (2, 50, 300)  # m, the releases of each simulate and align cell
 
 
 def _csv_cases(sizes: list[int]):
@@ -219,7 +231,7 @@ def _time_simulate(sizes: list[int]) -> dict:
     rng = np.random.default_rng(23)
     cells = {}
     for n in sizes:
-        for m in (2, 300):
+        for m in _RELEASES:
             spec = _spec(rng, m, n - 1, 0.01)
             path = simulate_dt(spec, 0.05)
             calls = {
@@ -232,6 +244,25 @@ def _time_simulate(sizes: list[int]) -> dict:
             for name, call in calls.items():
                 call()  # a warm-up: no timing holds a first call's one-off costs
                 cells[f"simulate,{name},m={m},n={n}"] = _measure(call, max(1, 1_000_000 // n))
+    return cells
+
+
+def _time_align(sizes: list[int]) -> dict:
+    from hybridsis import RawSeries, align
+
+    rng = np.random.default_rng(24)
+    start = datetime.date(2000, 1, 1)
+    cells = {}
+    for n in sizes:
+        series = RawSeries(start, rng.integers(0, 1_000_004, n))
+        for m in _RELEASES:
+            dates = [start + datetime.timedelta(days=n * (j + 1) // (m + 1)) for j in range(m)]
+            for name, smooth7 in (("", False), ("smooth7,", True)):
+                def call():
+                    align(series, dates, 1_000_003, smooth7=smooth7)
+
+                call()  # a warm-up, as for simulate
+                cells[f"align,{name}m={m},n={n}"] = _measure(call, max(1, 1_000_000 // n))
     return cells
 
 
@@ -266,6 +297,8 @@ def main(argv: list[str] | None = None) -> int:
             cells.update(_time_json())
         if "simulate" in args.layers:
             cells.update(_time_simulate(args.sizes))
+        if "align" in args.layers:
+            cells.update(_time_align(args.sizes))
         print(json.dumps(cells))
         return 0
     timings: dict[str, dict[str, list[float]]] = {}

@@ -2,9 +2,11 @@
 
     python3 bench/mutants.py [--modules model,ingest,...]
 
-In a temporary copy of the repository, each mutant turns one raise into pass, or one one-line
-if, while or conditional-expression test into True or False.  It is killed when its module's
-tests/test_<module>.py -x, then tier-1, fails or times out.  One pytest runs at a time, with no
+In a temporary copy of the repository, each mutant turns one raise into pass, one one-line
+if, while or conditional-expression test into True or False, or flips one comparison operator
+of a comparison (< and <=, > and >=, == and !=; a chain a < b <= c gives one mutant per
+operator).  It is killed when its module's tests/test_<module>.py -x, then tier-1, fails or
+times out.  Counts are printed per module and per operator.  One pytest runs at a time, with no
 bytecode files and 2 GiB of address space, so a mutant that loops cannot exhaust memory.
 """
 
@@ -21,6 +23,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = "model,ingest,estimate,experiments,cli,simulate"  # simulate's tests are slowest
 TIMEOUT = 180.0  # seconds per pytest run
+FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq,
+         ast.NotEq: ast.Eq}
+SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!="}
 
 
 def mutants(source: bytes):
@@ -39,6 +44,15 @@ def mutants(source: bytes):
                 for const in (b"True", b"False"):
                     if (mutated := splice(node.test, const)) != source:  # not `while True`
                         yield node.lineno, const.decode(), mutated
+        elif isinstance(node, ast.Compare):
+            for k, op in enumerate(node.ops):
+                if type(op) in FLIPS:
+                    flipped = FLIPS[type(op)]()
+                    ops = [*node.ops[:k], flipped, *node.ops[k + 1:]]
+                    # only this comparison is re-rendered; the rest of the file keeps its bytes
+                    text = ast.unparse(ast.Compare(node.left, ops, node.comparators))
+                    yield node.lineno, f"{SYMBOLS[type(op)]} to {SYMBOLS[type(flipped)]}", \
+                        splice(node, text.encode())
 
 
 def passes(work: Path, tests: list) -> bool:
@@ -65,15 +79,21 @@ def main() -> None:
             sys.exit("tier-1 fails on the unmutated copy")
         for module in args.modules.split(","):
             path = work / "src" / "hybridsis" / f"{module}.py"
-            original, run, survived = path.read_bytes(), 0, 0
-            for run, (line, operator, mutated) in enumerate(mutants(original), 1):
+            original, counts = path.read_bytes(), {}  # operator: [run, surviving]
+            for line, operator, mutated in mutants(original):
                 path.write_bytes(mutated)
-                if all(passes(work, t) for t in ([f"tests/test_{module}.py"], [])):
-                    survived += 1
+                survived = all(passes(work, t) for t in ([f"tests/test_{module}.py"], []))
+                tally = counts.setdefault(operator, [0, 0])
+                tally[0] += 1
+                tally[1] += survived
+                if survived:
                     text = original.splitlines()[line - 1].decode().strip()
                     print(f"  survivor {module}.py:{line} {operator}: {text}", flush=True)
             path.write_bytes(original)
-            print(f"{module}: {run} run, {run - survived} killed, {survived} surviving", flush=True)
+            counts["all"] = [sum(tally[i] for tally in counts.values()) for i in (0, 1)]
+            for operator, (run, survived) in sorted(counts.items()):
+                print(f"{module} {operator}: {run} run, {run - survived} killed, {survived} surviving",
+                      flush=True)
 
 
 if __name__ == "__main__":

@@ -54,6 +54,7 @@ from .model import (
     IntervalParams,
     Trajectory,
     UpdateSchedule,
+    _check_count,
     _check_start,
     _interval_to_dict,
     parameter_names,
@@ -402,8 +403,7 @@ def forecast(spec: HybridModelSpec, x_start: float, horizon: int) -> Trajectory:
     rates continue; a caller that wants to stop at the schedule's end passes
     a shorter horizon.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    horizon = _check_count(horizon, "horizon")
     x = _check_start(x_start)
     sched = spec.schedule
     # the recursion on the first horizon + 1 steps; the extra sample keeps a

@@ -44,6 +44,9 @@ from .model import (
     Scenario,
     Trajectory,
     UpdateSchedule,
+    _check_count,
+    _check_sigma,
+    _check_step,
     _dump_json,
     _fields,
     _list,
@@ -104,30 +107,22 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "regimes", tuple(self.regimes))
-        object.__setattr__(
-            self, "h_values", tuple(_number(h, "an entry of field 'h_values'") for h in self.h_values)
-        )
+        entry = "an entry of field 'h_values'"
+        h_values = tuple(_check_step(_number(h, entry)) for h in self.h_values)
+        object.__setattr__(self, "h_values", h_values)
         for key, convert in (("sigma", float), ("trials", int), ("seed", int), ("fine_substeps", int)):
             object.__setattr__(self, key, _number(getattr(self, key), f"field '{key}'", convert))
-        if not self.regimes:
-            raise ValueError("at least one regime is required")
         for r in self.regimes:
             if r not in REGIMES:
                 raise ValueError(f"unknown regime {r!r}; expected one of {REGIMES}")
-        if len(set(self.regimes)) != len(self.regimes):
-            raise ValueError("duplicate regimes in plan")
-        if not self.h_values:
-            raise ValueError("at least one step size is required")
-        if any(h <= 0 for h in self.h_values):
-            raise ValueError("step sizes must be positive")
-        if len(set(self.h_values)) != len(self.h_values):
-            raise ValueError("duplicate step sizes in plan")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        if self.fine_substeps < 1:
-            raise ValueError(f"fine_substeps must be >= 1, got {self.fine_substeps}")
+        for values, what in ((self.regimes, "regime"), (self.h_values, "step size")):
+            if not values:
+                raise ValueError(f"at least one {what} is required")
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {what}s in plan")
+        _check_count(self.trials, "trials")
+        _check_sigma(self.sigma)
+        _check_count(self.fine_substeps, "fine_substeps")
         _grid(self)  # validate alignment eagerly
 
 
@@ -460,12 +455,10 @@ def run_realdata_study(dataset: AlignedDataset, holdout: int | None = None) -> F
 
     holdout_result = None
     if holdout is not None:
-        holdout = int(holdout)
+        holdout = _check_count(holdout, "holdout")
         cut = sched.final_step - holdout
-        if holdout < 1 or cut < 2:
-            raise ValueError(
-                f"holdout {holdout} leaves no usable prefix (cut at step {cut})"
-            )
+        if cut < 2:
+            raise ValueError(f"holdout {holdout} leaves no usable prefix (cut at step {cut})")
         prefix = run_realdata_study(
             replace(
                 dataset,

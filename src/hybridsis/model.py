@@ -22,6 +22,10 @@ The flat parameter vector used by the estimator is
     theta = [beta_0, gamma_0, alpha_1, beta_1, gamma_1, ..., alpha_m, beta_m, gamma_m]
 
 with length 2 + 3 m.
+
+Each numeric argument's rule has one owner, which every entry point calls:
+_check_count, _check_sigma, _check_step, _check_start and _check_population.
+Each applies _number's type rule first, so API arguments take what JSON does.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Sequence
@@ -96,12 +100,8 @@ class UpdateSchedule:
     def __post_init__(self) -> None:
         steps = tuple(_number(t, "update step", int) for t in self.update_steps)
         object.__setattr__(self, "update_steps", steps)
-        object.__setattr__(self, "final_step", _number(self.final_step, "final step", int))
-        object.__setattr__(self, "step_size", float(self.step_size))
-        if not 0.0 < self.step_size < math.inf:  # NaN fails too
-            raise ValueError(f"step size must be positive and finite, got {self.step_size}")
-        if self.final_step < 1:
-            raise ValueError(f"final step must be at least 1, got {self.final_step}")
+        object.__setattr__(self, "final_step", _check_count(self.final_step, "final step"))
+        object.__setattr__(self, "step_size", _check_step(self.step_size))
         for a, b in zip(steps, steps[1:]):
             if b <= a:
                 raise ValueError(f"update steps must be strictly increasing, got {steps}")
@@ -201,11 +201,8 @@ class HybridModelSpec:
             raise ValueError(
                 f"schedule defines {want} intervals but {len(self.intervals)} parameter records given"
             )
-        if self.intervals[0].alpha is not None:
-            raise ValueError("interval 0 must not carry alpha")
+        theta_pack(self.intervals)  # the structural rule: exactly interval 0 lacks alpha
         for i, p in enumerate(self.intervals):
-            if i > 0 and p.alpha is None:
-                raise ValueError(f"interval {i} must carry alpha")
             if not (0.0 <= p.beta < math.inf and 0.0 <= p.gamma < math.inf):  # NaN fails too
                 raise ValueError(f"interval {i}: rates must be finite and non-negative, got {p}")
             if p.alpha is not None and not -1.0 <= p.alpha < math.inf:
@@ -247,9 +244,7 @@ class Trajectory:
             raise ValueError(f"trajectory value {arr[k]} at index {k} is not finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "step_size", float(self.step_size))
-        if not 0.0 < self.step_size < math.inf:
-            raise ValueError(f"step size must be positive and finite, got {self.step_size}")
+        object.__setattr__(self, "step_size", _check_step(self.step_size))
         if self.population is not None:
             object.__setattr__(self, "population", _check_population(self.population))
         object.__setattr__(self, "clamp_count", int(self.clamp_count))
@@ -280,17 +275,10 @@ class Trajectory:
         """Every stride-th sample, on the coarse step step_size (exact, where
         the float product stride * self.step_size may not be).  (len - 1)
         must be divisible by stride so the final sample is kept."""
-        stride = int(stride)
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
+        stride = _check_count(stride, "stride")
         if self.n_steps % stride != 0:
             raise ValueError(f"stride {stride} does not divide {self.n_steps} steps")
-        return Trajectory(
-            values=self.values[::stride],
-            step_size=step_size,
-            population=self.population,
-            clamp_count=self.clamp_count,
-        )
+        return replace(self, values=self.values[::stride], step_size=step_size)
 
 
 @dataclass(frozen=True)
@@ -310,15 +298,39 @@ class Scenario:
 
 def _check_start(x0) -> float:
     """x0 as a float in [0, 1]: the one check of a starting share, for every caller."""
-    x0 = float(x0)
-    if not 0.0 <= x0 <= 1.0:
+    x0 = _number(x0, "x0", finite=False)
+    if not 0.0 <= x0 <= 1.0:  # NaN fails too
         raise ValueError(f"x0 must lie in [0, 1], got {x0}")
     return x0
 
 
+def _check_step(h) -> float:
+    """h as a positive finite float: the one check of a step size, for every caller."""
+    h = _number(h, "step size", finite=False)
+    if not 0.0 < h < math.inf:  # NaN fails too
+        raise ValueError(f"step size must be positive and finite, got {h}")
+    return h
+
+
+def _check_sigma(sigma) -> float:
+    """sigma as a finite float >= 0: the one check of a noise scale, for every caller."""
+    sigma = _number(sigma, "sigma", finite=False)
+    if not 0.0 <= sigma < math.inf:  # NaN fails too
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
+    return sigma
+
+
+def _check_count(value, field: str) -> int:
+    """value as an int >= 1: the one check of a count, for every caller."""
+    n = _number(value, field, int, finite=False)
+    if n < 1:
+        raise ValueError(f"{field} must be >= 1, got {n}")
+    return n
+
+
 def _check_population(population) -> int:
     """A population scale as an int in 1..2**53, where every count is exact as a float."""
-    pop = int(population)
+    pop = _number(population, "population", int, finite=False)
     if pop <= 0:
         raise ValueError(f"population must be positive, got {pop}")
     if pop > 2**53:
@@ -335,13 +347,13 @@ def _interval_to_dict(p: IntervalParams) -> dict:
     return d
 
 
-def _number(value, field: str, convert=float):
-    """convert(value) for a finite JSON number, or a ValueError naming the
-    field: true, "0.5" and null are not numbers, NaN and Infinity (1e400 too)
-    are not finite, and convert=int takes no fraction."""
+def _number(value, field: str, convert=float, finite: bool = True):
+    """convert(value) for a number, or a ValueError naming the field: the type rule of every
+    JSON number and numeric argument.  true, "0.5" and null are not numbers, convert=int takes
+    no fraction, and finite rejects NaN and Infinity (1e400 too); owners range-check those."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{field} must be a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if finite and isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{field} must be finite, got {value!r}")
     if convert is int and not isinstance(value, numbers.Integral) and not float(value).is_integer():
         raise ValueError(f"{field} must be an integer, got {value!r}")

@@ -31,7 +31,7 @@ sample.  All stochastic draws come from numpy's PCG64 generator seeded
 explicitly; normals are drawn in fixed-size chunks of the one generator's
 stream, consumed in simulation order, so equal seeds give equal paths on any
 platform with the same numpy series.  Each generator allocates its output once.
-Every generator checks its start share x0 with model._check_start.
+Arguments are checked by model's owners: _check_start, _check_sigma, _check_count.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import HybridModelSpec, IntervalParams, Trajectory, UpdateSchedule, _check_start
+from .model import HybridModelSpec, IntervalParams, Trajectory, UpdateSchedule
+from .model import _check_count, _check_sigma, _check_start
 
 __all__ = [
     "StabilityWarning",
@@ -244,11 +245,7 @@ def simulate_sde(
     seeds the PCG64 generator, substeps is the number of Euler steps per
     sample.
     """
-    sigma, substeps = float(sigma), int(substeps)
-    if not 0.0 <= sigma < math.inf:  # NaN fails too
-        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
+    sigma, substeps = _check_sigma(sigma), _check_count(substeps, "substeps")
     x = _check_start(x0)
     sched = spec.schedule
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -266,9 +263,7 @@ def add_observation_noise(traj: Trajectory, sigma: float, seed: int) -> Trajecto
     Results are clamped to [0, 1]; the number of clamped samples is recorded
     on the returned trajectory.  Equal seeds give equal noise.
     """
-    sigma = float(sigma)
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
+    sigma = _check_sigma(sigma)
     rng = np.random.Generator(np.random.PCG64(seed))
     noisy = rng.standard_normal(len(traj))  # the result is built in place here
     noisy *= sigma

@@ -57,9 +57,9 @@ def test_plan_validation(demo_scenario):
         ExperimentPlan(scenario=demo_scenario, regimes=("noiseless", "noiseless"))
     with pytest.raises(ValueError, match="at least one step size"):
         ExperimentPlan(scenario=demo_scenario, h_values=())
-    with pytest.raises(ValueError, match="step sizes must be positive"):
+    with pytest.raises(ValueError, match=r"^step size must be positive and finite, got 0\.0$"):
         ExperimentPlan(scenario=demo_scenario, h_values=(1.0, 0.0))
-    with pytest.raises(ValueError, match="sigma must be non-negative"):
+    with pytest.raises(ValueError, match=r"^sigma must be finite and non-negative, got -0\.01$"):
         ExperimentPlan(scenario=demo_scenario, sigma=-0.01)
     with pytest.raises(ValueError, match="fine_substeps must be >= 1"):
         ExperimentPlan(scenario=demo_scenario, fine_substeps=0)

@@ -1,30 +1,53 @@
 import dataclasses
+import datetime as dt
 import json
 import math
 import re
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hybridsis
 from hybridsis import (
+    AlignedDataset,
+    ExperimentPlan,
     HybridModelSpec,
     IntervalParams,
+    RawSeries,
     Scenario,
     Trajectory,
     UpdateSchedule,
     add_observation_noise,
+    align,
+    forecast,
     load_scenario,
     load_schedule,
     parameter_names,
     reproduction_number,
+    run_realdata_study,
+    simulate_ct,
+    simulate_dt,
     simulate_sde,
     theta_pack,
     theta_unpack,
 )
-from hybridsis.model import _dump_json, scenario_from_dict, scenario_to_dict, theta_slice
+from hybridsis.model import (
+    _check_count,
+    _check_population,
+    _check_sigma,
+    _check_start,
+    _check_step,
+    _dump_json,
+    scenario_from_dict,
+    scenario_to_dict,
+    theta_slice,
+)
 
+_DAY = dt.date(2024, 1, 1)
 DEMO_SCHED = UpdateSchedule(update_steps=(30, 90), final_step=150, step_size=1.0)
 
 
@@ -193,30 +216,13 @@ def _spec_with(**rates):
     )
 
 
-_STEP, _RATES, _SIGMA = (
-    r"^step size must be positive and finite, got {}$",
-    r"^interval 1: rates must be finite and non-negative, got ",
-    r"^sigma must be finite and non-negative, got {}$",
-)
+_RATES = r"^interval 1: rates must be finite and non-negative, got "
 # hand-built inputs with a non-finite field, and the message each must raise
 _NON_FINITE = {
-    "schedule_step": (lambda v: UpdateSchedule((3,), 6, v), _STEP),
-    "trajectory_step": (lambda v: Trajectory([0.1, 0.2], step_size=v), _STEP),
     "beta": (lambda v: _spec_with(beta=v), _RATES),
     "gamma": (lambda v: _spec_with(gamma=v), _RATES),
     "alpha": (lambda v: _spec_with(alpha=v), r"^interval 1: alpha must be finite and >= -1, got {}$"),
-    "sde_sigma": (lambda v: simulate_sde(_spec_with(), 0.1, sigma=v), _SIGMA),
-    "observation_sigma": (lambda v: add_observation_noise(Trajectory([0.1, 0.2], 1.0), v, 0), _SIGMA),
 }
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("field", list(_NON_FINITE))
-def test_hand_built_inputs_reject_non_finite_values(field, value):
-    build, message = _NON_FINITE[field]
-    with pytest.raises(ValueError, match=message.format(re.escape(str(value)))):
-        build(value)
-
 
 # hand-built inputs with a finite value out of range, and the message each must raise
 _OUT_OF_RANGE = {
@@ -235,12 +241,140 @@ _OUT_OF_RANGE = {
     ),
 }
 
+_SCENARIO = Scenario(spec=_spec_with(), x0=0.1)
+_DATASET = AlignedDataset(simulate_dt(_spec_with(), 0.1), _spec_with().schedule, 1000, _DAY)
+
+
+def _plan(**fields):
+    return ExperimentPlan(scenario=_SCENARIO, **{"h_values": (1.0,), **fields})
+
+
+# Every entry point of each numeric argument: build(value), the argument's owner, the
+# name in the owner's messages and, for a plan, the JSON field its type rule names.
+_ENTRY_POINTS = {
+    "count": (lambda v: _check_count(v, "n"), "count", "n"),
+    "sde_substeps": (lambda v: simulate_sde(_spec_with(), 0.1, substeps=v), "count", "substeps"),
+    "forecast_horizon": (lambda v: forecast(_spec_with(), 0.1, v), "count", "horizon"),
+    "subsample_stride": (lambda v: Trajectory([0.1, 0.2, 0.3], 1.0).subsample(v, 2.0), "count", "stride"),
+    "schedule_final_step": (lambda v: UpdateSchedule((), v, 1.0), "count", "final step"),
+    "holdout": (lambda v: run_realdata_study(_DATASET, holdout=v), "count", "holdout"),
+    "plan_trials": (lambda v: _plan(trials=v), "count", "trials", "field 'trials'"),
+    "plan_fine_substeps": (
+        lambda v: _plan(fine_substeps=v), "count", "fine_substeps", "field 'fine_substeps'"
+    ),
+    "sigma": (_check_sigma, "sigma", "sigma"),
+    "sde_sigma": (lambda v: simulate_sde(_spec_with(), 0.1, sigma=v), "sigma", "sigma"),
+    "observation_sigma": (
+        lambda v: add_observation_noise(Trajectory([0.1, 0.2], 1.0), v, 0), "sigma", "sigma"
+    ),
+    "plan_sigma": (lambda v: _plan(sigma=v), "sigma", "sigma", "field 'sigma'"),
+    "step": (_check_step, "step", "step size"),
+    "schedule_step": (lambda v: UpdateSchedule((3,), 6, v), "step", "step size"),
+    "trajectory_step": (lambda v: Trajectory([0.1, 0.2], step_size=v), "step", "step size"),
+    "plan_step": (lambda v: _plan(h_values=(v,)), "step", "step size", "an entry of field 'h_values'"),
+    "start": (_check_start, "start", "x0"),
+    "scenario_x0": (lambda v: Scenario(_spec_with(), v), "start", "x0"),
+    "dt_x0": (lambda v: simulate_dt(_spec_with(), v), "start", "x0"),
+    "ct_x0": (lambda v: simulate_ct(_spec_with(), v), "start", "x0"),
+    "sde_x0": (lambda v: simulate_sde(_spec_with(), v), "start", "x0"),
+    "forecast_x0": (lambda v: forecast(_spec_with(), v, 3), "start", "x0"),
+    "population": (_check_population, "population", "population"),
+    "trajectory_population": (
+        lambda v: Trajectory([0.1, 0.2], 1.0, population=v), "population", "population"
+    ),
+    "scenario_population": (lambda v: Scenario(_spec_with(), 0.1, v), "population", "population"),
+    "align_population": (
+        lambda v: align(RawSeries(_DAY, [1, 2, 3]), (), v), "population", "population"
+    ),
+}
+# what the shared type rule rejects in any argument, and in an integral one
+_NOT_NUMBERS = [("bool", True, "{typed} must be a number, got True"),
+                ("string", "1", "{typed} must be a number, got '1'")]
+_FRACTION = [("fraction", 2.5, "{typed} must be an integer, got 2.5")]
+# per owner: the values rejected past the type rule (a fraction, the nearest values
+# out of range), and the message a NaN or an infinity gets, up to the value
+_RANGES = {
+    "count": (_FRACTION + [("zero", 0, "{name} must be >= 1, got 0")], "{name} must be an integer"),
+    "sigma": (
+        [("negative", -5e-324, "sigma must be finite and non-negative, got -5e-324")],
+        "sigma must be finite and non-negative",
+    ),
+    "step": (
+        [("zero", 0.0, "step size must be positive and finite, got 0.0"),
+         ("negative_zero", -0.0, "step size must be positive and finite, got -0.0")],
+        "step size must be positive and finite",
+    ),
+    "start": (
+        [("below", -5e-324, "x0 must lie in [0, 1], got -5e-324"),
+         ("above", 1 + 2**-52, "x0 must lie in [0, 1], got 1.0000000000000002")],
+        "x0 must lie in [0, 1]",
+    ),
+    "population": (
+        _FRACTION + [("zero", 0, "population must be positive, got 0"),
+                     ("above", 2**53 + 1, "population must be at most 2**53, got 9007199254740993")],
+        "population must be an integer",
+    ),
+}
+for _key, (_build, _owner, _name, *_field) in _ENTRY_POINTS.items():
+    _typed = _field[0] if _field else _name
+    _rejected, _unbounded = _RANGES[_owner]
+    for _label, _value, _message in _NOT_NUMBERS + _rejected:
+        _text = _message.format(typed=_typed, name=_name)
+        _OUT_OF_RANGE[f"{_key}_{_label}"] = (partial(_build, _value), f"^{re.escape(_text)}$")
+    # a JSON field's own finite check runs before the owner's
+    _text = f"{_typed} must be finite" if _field else _unbounded.format(name=_name)
+    _NON_FINITE[_key] = (_build, f"^{re.escape(_text)}, got {{}}$")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", list(_NON_FINITE))
+def test_hand_built_inputs_reject_non_finite_values(field, value):
+    build, message = _NON_FINITE[field]
+    with pytest.raises(ValueError, match=message.format(re.escape(str(value)))):
+        build(value)
+
 
 @pytest.mark.parametrize("field", list(_OUT_OF_RANGE))
 def test_hand_built_inputs_reject_out_of_range_values(field):
     build, message = _OUT_OF_RANGE[field]
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# the message template of each numeric-argument owner in model.py
+_OWNER_TEMPLATES = (
+    "must be >= 1, got",
+    "sigma must be finite and non-negative",
+    "step size must be positive and finite",
+    "x0 must lie in [0, 1]",
+    "population must be positive",
+    "population must be at most 2**53",
+)
+
+
+def test_each_numeric_rule_is_written_once():
+    # a second copy of a rule repeats its message; callers use the owner instead
+    package = Path(hybridsis.__file__).parent
+    source = "".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py")))
+    assert {t: source.count(t) for t in _OWNER_TEMPLATES} == dict.fromkeys(_OWNER_TEMPLATES, 1)
+
+
+def test_owners_accept_the_edges_of_their_ranges():
+    assert _check_count(1, "n") == 1 and type(_check_count(np.int64(2), "n")) is int
+    assert _check_count(3.0, "n") == 3 and type(_check_count(3.0, "n")) is int
+    assert _check_population(1) == 1 and _check_population(2**53) == 2**53
+    assert _check_population(float(2**53)) == 2**53
+    assert _check_start(0.0) == 0.0 and _check_start(1.0) == 1.0
+    assert type(_check_start(np.float32(0.5))) is float
+    assert _check_sigma(0.0) == 0.0 and _check_sigma(1e308) == 1e308
+    assert _check_step(5e-324) == 5e-324 and _check_step(1.7e308) == 1.7e308
+    # and so do their entry points
+    assert len(simulate_sde(_spec_with(alpha=0.0), 1.0, sigma=0.0, substeps=1)) == 7
+    assert len(forecast(_spec_with(), 0.0, 1)) == 2
+    traj = Trajectory([0.1, 0.2, 0.3], 1.0, population=2**53)
+    assert traj.subsample(1, 1.0).values.tolist() == [0.1, 0.2, 0.3]
+    assert UpdateSchedule((), 1, 1.0).n_samples == 2
+    assert _plan(trials=1, fine_substeps=1, sigma=0.0).trials == 1
 
 
 def test_schedule_takes_integral_floats_and_numpy_ints():
@@ -322,6 +456,10 @@ def test_trajectory_counts_outside_int64_raise():
         low.to_counts()
     edge = Trajectory(values=[-1024.0, 1023.0], step_size=1.0, population=2**53)
     np.testing.assert_array_equal(edge.to_counts(), [-(2**63), 1023 * 2**53])
+    # 2**63 itself is one past the int64 maximum
+    high = Trajectory(values=[0.5, 1024.0], step_size=1.0, population=2**53)
+    with pytest.raises(ValueError, match=r"index 1 lies outside int64"):
+        high.to_counts()
 
 
 def test_trajectory_subsample():

@@ -745,11 +745,23 @@ def test_simulate_bench_runs_at_toy_size(tmp_path):
                     "--reps", "1", "--sizes", "1000", "--out", str(out), f"here={ROOT / 'src'}"],
                    check=True)
     report = json.loads(out.read_text())
-    want = [f"simulate,{name},m={m},n=1000" for m in (2, 300)
+    want = [f"simulate,{name},m={m},n=1000" for m in (2, 50, 300)
             for name in ("dt", "ct", "sde", "observation_noise", "forecast")]
     assert sorted(report["cells"]) == sorted(report["peak_mib"]) == sorted(want)
     assert all(cell["here"] > 0 for cell in report["peak_mib"].values())
     assert report["layer"] == "simulate"
+
+
+def test_align_bench_runs_at_toy_size(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(ROOT / "bench" / "layers.py"), "--layers", "align",
+                    "--reps", "1", "--sizes", "1000", "--out", str(out), f"here={ROOT / 'src'}"],
+                   check=True)
+    report = json.loads(out.read_text())
+    want = [f"align,{name}m={m},n=1000" for m in (2, 50, 300) for name in ("", "smooth7,")]
+    assert sorted(report["cells"]) == sorted(report["peak_mib"]) == sorted(want)
+    assert all(cell["here"] > 0 for cell in report["peak_mib"].values())
+    assert report["layer"] == "align"
 
 
 shares = st.one_of(
