@@ -78,7 +78,7 @@ REGIMES = ("noiseless", "observation", "process")
 
 def derive_seed(base: int, *parts) -> int:
     """Stable per-cell seed: first 8 bytes of sha256 over seed and coordinates."""
-    key = ":".join([str(int(base))] + [str(p) for p in parts])
+    key = ":".join([str(_number(base, "seed", int, finite=False))] + [str(p) for p in parts])
     return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
 
 

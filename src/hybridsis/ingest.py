@@ -157,7 +157,7 @@ def _smooth_weekly(counts: np.ndarray) -> np.ndarray:
     for k in range(7):  # day j - 3 + k of day j's window
         total += padded[k : k + n]
         width += inside[k : k + n]
-    return total / width
+    return np.divide(total, width, out=total)
 
 
 @dataclass(frozen=True)
@@ -223,11 +223,11 @@ def align(
     values = counts.astype(float)
     if smooth7:
         values = _smooth_weekly(values)
-    x = values / population
-    x.setflags(write=False)  # handed to the trajectory, which adopts it
+    values /= population  # in place: no second float copy of the window
+    values.setflags(write=False)  # handed to the trajectory, which adopts it
 
     schedule = UpdateSchedule(update_steps=tuple(steps), final_step=final_step, step_size=1.0)
-    traj = Trajectory(values=x, step_size=1.0, population=population)
+    traj = Trajectory(values=values, step_size=1.0, population=population)
     return AlignedDataset(
         trajectory=traj,
         schedule=schedule,

@@ -247,7 +247,8 @@ class Trajectory:
         object.__setattr__(self, "step_size", _check_step(self.step_size))
         if self.population is not None:
             object.__setattr__(self, "population", _check_population(self.population))
-        object.__setattr__(self, "clamp_count", int(self.clamp_count))
+        clamps = _number(self.clamp_count, "clamp_count", int, finite=False)
+        object.__setattr__(self, "clamp_count", clamps)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -357,7 +358,10 @@ def _number(value, field: str, convert=float, finite: bool = True):
         raise ValueError(f"{field} must be finite, got {value!r}")
     if convert is int and not isinstance(value, numbers.Integral) and not float(value).is_integer():
         raise ValueError(f"{field} must be an integer, got {value!r}")
-    return convert(value)
+    try:
+        return convert(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{field} must be finite, got a value beyond the float range") from None
 
 
 def _list(value, field: str) -> list:

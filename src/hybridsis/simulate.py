@@ -27,9 +27,9 @@ gamma) and c = dt beta per interval; simulate_sde scales its normals in
 place to w = sigma * sqrt(dt) * z, and the noiseless callers add w = 0.0.
 simulate_sde with sigma=0 is the noiseless Euler recursion at any sub-step
 count bit for bit, and at one sub-step it reproduces simulate_dt sample for
-sample.  All stochastic draws come from numpy's PCG64 generator seeded
-explicitly; normals are drawn in fixed-size chunks of the one generator's
-stream, consumed in simulation order, so equal seeds give equal paths on any
+sample.  All stochastic draws come from one PCG64 generator per call, built
+by _generator; _recurse asks for each interval's normals in turn, drawn in
+fixed-size chunks of that stream, so equal seeds give equal paths on any
 platform with the same numpy series.  Each generator allocates its output once.
 Arguments are checked by model's owners: _check_start, _check_sigma, _check_count.
 """
@@ -42,12 +42,12 @@ import warnings
 from functools import partial
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .model import HybridModelSpec, IntervalParams, Trajectory, UpdateSchedule
-from .model import _check_count, _check_sigma, _check_start
+from .model import _check_count, _check_sigma, _check_start, _number
 
 __all__ = [
     "StabilityWarning",
@@ -97,7 +97,7 @@ def _recurse(
     x0: float,
     *,
     substeps: int = 1,
-    noise: Iterable[Sequence[float]] | None = None,
+    noise: Callable[[int], Iterable[np.ndarray]] | None = None,
     check: bool = True,
 ) -> tuple[np.ndarray, int]:
     """The sampled recursion over a schedule; returns (values, clamps).
@@ -111,11 +111,11 @@ def _recurse(
 
     dt = h / substeps, which is x + dt * (beta (1 - x) x - gamma x) + w x
     factored so that a step costs five float operations.  Without `noise`,
-    w = 0.0, and adding 0.0 is exact.  `noise` is an iterable of float64
-    chunks of the scaled increments w = sigma * sqrt(dt) * z, consumed in
-    order, one per step, as memoryview slices; the next chunk is asked for
-    only once this one is spent, so a producer may refill one buffer.  With
-    noise, each step floors the result at zero, counting each floor in clamps.
+    w = 0.0, and adding 0.0 is exact.  With `noise`, each interval in turn
+    calls noise(n) for its n scaled increments w = sigma * sqrt(dt) * z, as
+    float64 chunks read one per step through memoryviews; the next chunk is
+    asked for only once this one is spent, so a producer may refill one
+    buffer.  With noise, each step floors at zero, counting each floor in clamps.
 
     The run yields every state, and x0 and each release state are yielded
     `substeps` times, so every sample is `substeps` consecutive states; the
@@ -123,22 +123,10 @@ def _recurse(
     the output array, which is returned frozen.
     """
     clamps = 0
-    chunks = None if noise is None else iter(noise)
-    chunk, used = memoryview(b""), 0  # the current chunk and how much of it is spent
-
-    def increments(n: int):  # the next n, as slices of the chunks
-        nonlocal chunk, used
-        while n:
-            if used == len(chunk):
-                chunk, used = memoryview(next(chunks)), 0
-            k = min(n, len(chunk) - used)
-            yield chunk[used : used + k]
-            used, n = used + k, n - k
 
     def states():
         nonlocal clamps
         dt = schedule.step_size / substeps
-        floor = chunks is not None
         x = float(x0)
         yield from repeat(x, substeps)
         for i, (p, (start, stop)) in enumerate(zip(intervals, schedule.bounds.tolist())):
@@ -147,10 +135,10 @@ def _recurse(
                 yield from repeat(x, substeps)
             a, c = dt * (p.beta - p.gamma), dt * p.beta
             n = (stop - start) * substeps
-            for run in (repeat(0.0, n),) if chunks is None else increments(n):
+            for run in (repeat(0.0, n),) if noise is None else map(memoryview, noise(n)):
                 for w in run:
                     x = x + x * (a - c * x + w)
-                    if x < 0.0 and floor:
+                    if x < 0.0 and noise is not None:
                         x = 0.0
                         clamps += 1
                     yield x
@@ -176,6 +164,13 @@ def _logistic_flow(x0: float, beta: float, gamma: float, t: np.ndarray) -> np.nd
         e = np.expm1(r * t)
         return r * x0 * (1.0 + e) / (r + beta * x0 * e)
     return r * x0 / (r * np.exp(-r * t) - beta * x0 * np.expm1(-r * t))
+
+
+def _generator(seed) -> np.random.Generator:
+    """The PCG64 generator of seed, an integer >= 0: the one check of a generator seed."""
+    if (seed := _number(seed, "seed", int, finite=False)) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def simulate_dt(spec: HybridModelSpec, x0: float) -> Trajectory:
@@ -234,27 +229,28 @@ def simulate_sde(
         x <- x + dt * (beta (1 - x) x - gamma x) + sigma * x * sqrt(dt) * z
 
     with z standard normal, evaluated as x + x * (a - c * x + w) (see
-    _recurse).  The normals are fixed-size chunks of the one generator's
-    stream, consumed in simulation order: _CHUNK at a time are drawn into one
+    _recurse).  _recurse asks for each interval's normals in turn, and they
+    are drawn from the one generator's stream _CHUNK at a time into one
     buffer and scaled there to the increments w = sigma * sqrt(dt) * z, so
     working memory grows with neither the path nor substeps.  Zero is
     absorbing for the noiseless flow, so any excursion below zero is clamped
     back to zero and counted in the returned trajectory's clamp_count.  With
     sigma = 0 every w is zero and the output is the noiseless Euler
     recursion bit for bit, which at one sub-step equals simulate_dt.  seed
-    seeds the PCG64 generator, substeps is the number of Euler steps per
-    sample.
+    (an integer >= 0) seeds the PCG64 generator, substeps is the number of
+    Euler steps per sample.
     """
     sigma, substeps = _check_sigma(sigma), _check_count(substeps, "substeps")
-    x = _check_start(x0)
-    sched = spec.schedule
-    rng = np.random.Generator(np.random.PCG64(seed))
-    scale, buffer = sigma * math.sqrt(sched.step_size / substeps), np.empty(_CHUNK)
-    total = (sched.final_step - sched.n_updates) * substeps  # every step but a release flows
-    chunks = (buffer[: min(total - a, _CHUNK)] for a in range(0, total, _CHUNK))
-    noise = (np.multiply(rng.standard_normal(out=z), scale, out=z) for z in chunks)  # lazy
-    xs, clamps = _recurse(sched, spec.intervals, x, substeps=substeps, noise=noise)
-    return Trajectory(values=xs, step_size=sched.step_size, clamp_count=clamps)
+    x, rng = _check_start(x0), _generator(seed)
+    scale, buffer = sigma * math.sqrt(spec.schedule.step_size / substeps), np.empty(_CHUNK)
+
+    def noise(n: int):  # one interval's n increments, drawn and scaled in the one buffer
+        for a in range(0, n, _CHUNK):
+            z = buffer[: min(n - a, _CHUNK)]
+            yield np.multiply(rng.standard_normal(out=z), scale, out=z)
+
+    xs, clamps = _recurse(spec.schedule, spec.intervals, x, substeps=substeps, noise=noise)
+    return Trajectory(values=xs, step_size=spec.schedule.step_size, clamp_count=clamps)
 
 
 def add_observation_noise(traj: Trajectory, sigma: float, seed: int) -> Trajectory:
@@ -264,8 +260,7 @@ def add_observation_noise(traj: Trajectory, sigma: float, seed: int) -> Trajecto
     on the returned trajectory.  Equal seeds give equal noise.
     """
     sigma = _check_sigma(sigma)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    noisy = rng.standard_normal(len(traj))  # the result is built in place here
+    noisy = _generator(seed).standard_normal(len(traj))  # the result is built in place here
     noisy *= sigma
     noisy += traj.values
     clamps = int(np.count_nonzero(noisy < 0.0)) + int(np.count_nonzero(noisy > 1.0))

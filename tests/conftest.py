@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,17 @@ def forbid_row_loop(monkeypatch, module) -> None:
         return read_csv(path, check_header, dtype, parse, row_loop_reached, usecols)
 
     monkeypatch.setattr(module, "_read_csv", c_parser_only)
+
+
+def heap_peak_mib(call) -> float:
+    """The tracemalloc peak of one call, made after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -301,6 +301,34 @@ def test_simulate_sde_seed_defaults_to_zero(tmp_path, capsys):
     assert (tmp_path / "unset.csv").read_bytes() == (tmp_path / "zero.csv").read_bytes()
 
 
+@pytest.mark.parametrize("field", ["x0", "h", "beta"])
+def test_simulate_rejects_an_integer_beyond_the_float_range(tmp_path, capsys, field):
+    scenario = json.loads(SCENARIO_PATH.read_text())
+    target = scenario["intervals"][1] if field == "beta" else scenario
+    target[field] = 10**400  # 401 digits, which no float holds
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run_cli(
+        capsys, "simulate", "--scenario", str(path), "--mode", "dt",
+        "--out", str(tmp_path / "x.csv"),
+    )
+    where = "interval 1: " if field == "beta" else ""
+    message = f"{where}field '{field}' must be finite, got a value beyond the float range"
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    code, _, err = run_cli(
+        capsys, "simulate", "--scenario", str(SCENARIO_PATH), "--mode", "sde",
+        "--seed", "-1", "--out", str(out),
+    )
+    assert code == 2
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_usage_and_missing_file_errors(tmp_path, capsys):
     assert run_cli(capsys, "simulate", "--scenario", "/does/not/exist.json",
                    "--mode", "dt", "--out", str(tmp_path / "x.csv"))[0] == 2

@@ -16,7 +16,7 @@ from hybridsis import (
 )
 from hybridsis.ingest import RawSeries
 
-from conftest import forbid_row_loop
+from conftest import forbid_row_loop, heap_peak_mib
 
 START = dt.date(2024, 3, 1)
 
@@ -474,3 +474,14 @@ def test_align_smooth7(tmp_path):
     plain = align(series, [update], population=1000)
     assert not plain.smoothed
     assert plain.trajectory.values[5] == counts[5] / 1000.0
+
+
+def test_align_allocates_its_output_once():
+    # the float copy of the window is divided in place and adopted by the trajectory
+    n = 100_000
+    counts = np.random.Generator(np.random.PCG64(5)).integers(0, 1_000_004, n)
+    series = RawSeries(START, counts)
+    releases = [START + dt.timedelta(days=n // 3), START + dt.timedelta(days=2 * n // 3)]
+    output = n * 8 / 2**20
+    peak = heap_peak_mib(lambda: align(series, releases, population=1_000_003))
+    assert peak <= 1.15 * output + 0.1

@@ -23,6 +23,7 @@ from hybridsis import (
     UpdateSchedule,
     add_observation_noise,
     align,
+    derive_seed,
     forecast,
     load_scenario,
     load_schedule,
@@ -42,10 +43,12 @@ from hybridsis.model import (
     _check_start,
     _check_step,
     _dump_json,
+    _number,
     scenario_from_dict,
     scenario_to_dict,
     theta_slice,
 )
+from hybridsis.simulate import _generator
 
 _DAY = dt.date(2024, 1, 1)
 DEMO_SCHED = UpdateSchedule(update_steps=(30, 90), final_step=150, step_size=1.0)
@@ -239,6 +242,27 @@ _OUT_OF_RANGE = {
         lambda: UpdateSchedule(update_steps=(2,), final_step=5.9, step_size=1.0),
         r"^final step must be an integer, got 5\.9$",
     ),
+    "trajectory_fractional_clamp_count": (
+        lambda: Trajectory([0.5, 0.25], step_size=1.0, clamp_count=2.7),
+        r"^clamp_count must be an integer, got 2\.7$",
+    ),
+    "trajectory_string_clamp_count": (
+        lambda: Trajectory([0.5, 0.25], step_size=1.0, clamp_count="4"),
+        r"^clamp_count must be a number, got '4'$",
+    ),
+    "trajectory_bool_clamp_count": (
+        lambda: Trajectory([0.5, 0.25], step_size=1.0, clamp_count=True),
+        r"^clamp_count must be a number, got True$",
+    ),
+    # an integer beyond the float range is not a float, with or without the finite check
+    "number_beyond_float": (
+        lambda: _number(10**400, "x0"),
+        r"^x0 must be finite, got a value beyond the float range$",
+    ),
+    "step_beyond_float": (
+        lambda: _check_step(10**400),
+        r"^step size must be finite, got a value beyond the float range$",
+    ),
 }
 
 _SCENARIO = Scenario(spec=_spec_with(), x0=0.1)
@@ -286,6 +310,14 @@ _ENTRY_POINTS = {
     "align_population": (
         lambda v: align(RawSeries(_DAY, [1, 2, 3]), (), v), "population", "population"
     ),
+    "seed": (_generator, "seed", "seed"),
+    "sde_seed": (lambda v: simulate_sde(_spec_with(), 0.1, seed=v), "seed", "seed"),
+    "observation_seed": (
+        lambda v: add_observation_noise(Trajectory([0.1, 0.2], 1.0), 0.01, v), "seed", "seed"
+    ),
+    # a base seed is only hashed, so a negative one is valid
+    "derive_seed": (lambda v: derive_seed(v, "process", 0), "base seed", "seed"),
+    "plan_seed": (lambda v: _plan(seed=v), "base seed", "seed", "field 'seed'"),
 }
 # what the shared type rule rejects in any argument, and in an integral one
 _NOT_NUMBERS = [("bool", True, "{typed} must be a number, got True"),
@@ -314,6 +346,8 @@ _RANGES = {
                      ("above", 2**53 + 1, "population must be at most 2**53, got 9007199254740993")],
         "population must be an integer",
     ),
+    "seed": (_FRACTION + [("negative", -1, "seed must be >= 0, got -1")], "seed must be an integer"),
+    "base seed": (_FRACTION, "seed must be an integer"),
 }
 for _key, (_build, _owner, _name, *_field) in _ENTRY_POINTS.items():
     _typed = _field[0] if _field else _name
@@ -349,6 +383,7 @@ _OWNER_TEMPLATES = (
     "x0 must lie in [0, 1]",
     "population must be positive",
     "population must be at most 2**53",
+    "seed must be >= 0",
 )
 
 
@@ -357,6 +392,7 @@ def test_each_numeric_rule_is_written_once():
     package = Path(hybridsis.__file__).parent
     source = "".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py")))
     assert {t: source.count(t) for t in _OWNER_TEMPLATES} == dict.fromkeys(_OWNER_TEMPLATES, 1)
+    assert source.count("np.random.PCG64(") == 1  # every generator is built by _generator
 
 
 def test_owners_accept_the_edges_of_their_ranges():
@@ -368,8 +404,16 @@ def test_owners_accept_the_edges_of_their_ranges():
     assert type(_check_start(np.float32(0.5))) is float
     assert _check_sigma(0.0) == 0.0 and _check_sigma(1e308) == 1e308
     assert _check_step(5e-324) == 5e-324 and _check_step(1.7e308) == 1.7e308
+    assert _number(10**400, "n", int) == 10**400  # only a float conversion overflows
+    for seed in (0, 2**70, np.int64(7), 3.0):
+        assert _generator(seed).bit_generator.state == _generator(int(seed)).bit_generator.state
+    assert derive_seed(-1, "process", 0) != derive_seed(1, "process", 0)
+    assert derive_seed(3.0, "process", 0) == derive_seed(3, "process", 0)
     # and so do their entry points
     assert len(simulate_sde(_spec_with(alpha=0.0), 1.0, sigma=0.0, substeps=1)) == 7
+    assert len(simulate_sde(_spec_with(), 0.1, seed=2**70, sigma=0.01)) == 7
+    assert len(add_observation_noise(Trajectory([0.1, 0.2], 1.0), 0.01, 0)) == 2
+    assert _plan(seed=-1).seed == -1
     assert len(forecast(_spec_with(), 0.0, 1)) == 2
     traj = Trajectory([0.1, 0.2, 0.3], 1.0, population=2**53)
     assert traj.subsample(1, 1.0).values.tolist() == [0.1, 0.2, 0.3]

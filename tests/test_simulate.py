@@ -10,7 +10,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-import tracemalloc
 import warnings
 from functools import partial
 from pathlib import Path
@@ -37,7 +36,7 @@ from hybridsis import (
 from hybridsis.cli import main
 from hybridsis.estimate import forecast
 
-from conftest import ROOT, SCENARIO_PATH, forbid_row_loop
+from conftest import ROOT, SCENARIO_PATH, forbid_row_loop, heap_peak_mib
 from test_acceptance import random_identifiable_scenarios
 
 # Closed-form values for the bundled demo under the shared release-step
@@ -473,12 +472,21 @@ def test_recursion_outputs_are_pinned(name, demo_scenario, tmp_path):
 
 def _one_batch_sde(spec, x0, seed, sigma, substeps):
     """simulate_sde as first written: every normal drawn in one batch and
-    scaled in place, then fed to the recursion as a single chunk."""
+    scaled in place; each noise(n) call gets the next n of it as one slice."""
     sched = spec.schedule
     rng = np.random.Generator(np.random.PCG64(seed))
     batch = rng.standard_normal((sched.final_step - sched.n_updates) * substeps)
     batch *= sigma * math.sqrt(sched.step_size / substeps)
-    return hybridsis.simulate._recurse(sched, spec.intervals, x0, substeps=substeps, noise=[batch])
+    spent = 0
+
+    def noise(n):
+        nonlocal spent
+        spent += n
+        return [batch[spent - n : spent]]
+
+    out = hybridsis.simulate._recurse(sched, spec.intervals, x0, substeps=substeps, noise=noise)
+    assert spent == batch.size  # the intervals ask for every normal, once
+    return out
 
 
 @pytest.mark.parametrize("substeps", [1, 3, 7])
@@ -492,30 +500,26 @@ def test_chunked_normals_equal_one_batch(substeps):
     intervals = [IntervalParams(beta=0.6, gamma=0.2)] + [
         IntervalParams(alpha=a, beta=0.5, gamma=0.3) for a in (-0.2, -0.3, -0.1)
     ]
-    spec = HybridModelSpec(UpdateSchedule(steps, 4 * chunk + 100, 0.05), tuple(intervals))
-    for seed, sigma in ((3, 0.05), (8, 0.5)):
-        got = simulate_sde(spec, 0.2, seed=seed, sigma=sigma, substeps=substeps)
-        values, clamps = _one_batch_sde(spec, 0.2, seed, sigma, substeps)
-        assert got.values.tobytes() == values.tobytes()
-        assert got.clamp_count == clamps
-        assert values[-1] > 0.0  # no floor absorbed the path before the last chunk
-
-
-def _heap_peak_mib(call) -> float:
-    """The tracemalloc peak of one call, made after a warm-up call."""
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+    specs = [
+        HybridModelSpec(UpdateSchedule(steps, 4 * chunk + 100, 0.05), tuple(intervals)),
+        # adjacent releases: interval 2 has no ordinary step, so it asks noise(0)
+        HybridModelSpec(UpdateSchedule((40, 41, 90), 150, 0.05), tuple(intervals)),
+        # one interval of more than 2 chunks of samples, so one call spans 3 or more chunks
+        HybridModelSpec(UpdateSchedule((), 2 * chunk + 7, 0.05), tuple(intervals[:1])),
+    ]
+    for spec in specs:
+        for seed, sigma in ((3, 0.05), (8, 0.5)):
+            got = simulate_sde(spec, 0.2, seed=seed, sigma=sigma, substeps=substeps)
+            values, clamps = _one_batch_sde(spec, 0.2, seed, sigma, substeps)
+            assert got.values.tobytes() == values.tobytes()
+            assert got.clamp_count == clamps
+            assert values[-1] > 0.0  # no floor absorbed the path before the last chunk
 
 
 def test_sde_working_memory_does_not_grow_with_substeps():
     # 2,001 samples at 500 sub-steps are 1e6 normals, 7.6 MiB in one batch
     spec = single_interval(0.5, 0.2, 2000, h=0.1)
-    assert _heap_peak_mib(lambda: simulate_sde(spec, 0.05, seed=1, sigma=0.01, substeps=500)) < 0.25
+    assert heap_peak_mib(lambda: simulate_sde(spec, 0.05, seed=1, sigma=0.01, substeps=500)) < 0.25
 
 
 @pytest.mark.parametrize("name", ["dt", "ct-m2", "ct-m300", "sde", "observation_noise"])
@@ -535,7 +539,7 @@ def test_generators_allocate_their_output_once(name):
         "observation_noise": lambda: add_observation_noise(clean, 0.01, seed=3),
     }[name.split("-")[0]]
     output = n * 8 / 2**20
-    assert _heap_peak_mib(call) <= 1.15 * output + 0.1
+    assert heap_peak_mib(call) <= 1.15 * output + 0.1
 
 
 def test_observation_noise_determinism_and_clipping():
