@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -298,18 +298,15 @@ class NoiseStudyResult:
         return paths
 
 
-def _run_cell_trial(cell: StudyCell, traj: Trajectory, schedule: UpdateSchedule) -> None:
-    """Estimate one trial into a cell; an identifiability failure marks the
-    whole cell failed and later trials are skipped."""
-    if cell.failed:
-        return
+def _fit(
+    traj: Trajectory, schedule: UpdateSchedule
+) -> tuple[IdentifiabilityReport, EstimationResult | None]:
+    """The identifiability report of traj's regression on schedule, and its
+    estimate only when the report holds (None otherwise).  Reads samples
+    0..schedule.final_step of traj, so a longer trajectory fits a prefix."""
     system = build_regression(traj, schedule)
     report = check_identifiability(system)
-    if not report.overall:
-        cell.failure = report
-        cell.theta_hats.clear()
-        return
-    cell.theta_hats.append(estimate(system).theta_hat)
+    return report, estimate(system) if report.overall else None
 
 
 def run_noise_study(plan: ExperimentPlan) -> NoiseStudyResult:
@@ -339,12 +336,19 @@ def run_noise_study(plan: ExperimentPlan) -> NoiseStudyResult:
                 seed = derive_seed(plan.seed, "process", trial)
                 master = simulate_sde(master_spec, x0, seed=seed, sigma=plan.sigma)
             for cell in regime_cells:
+                if cell.failed:  # its first failure ends the cell; seeds are per cell
+                    continue
                 sched_h, stride = per_h[cell.h]
                 traj = master.subsample(stride, cell.h)
                 if regime == "observation":
                     seed = derive_seed(plan.seed, "observation", _g17(cell.h), trial)
                     traj = add_observation_noise(traj, plan.sigma, seed)
-                _run_cell_trial(cell, traj, sched_h)
+                report, result = _fit(traj, sched_h)
+                if result is None:
+                    cell.failure = report
+                    cell.theta_hats.clear()
+                else:
+                    cell.theta_hats.append(result.theta_hat)
         cells.extend(regime_cells)
     return NoiseStudyResult(plan=plan, cells=cells)
 
@@ -414,22 +418,26 @@ def run_realdata_study(dataset: AlignedDataset, holdout: int | None = None) -> F
     point using only the estimated parameters, and reports root-mean-square
     deviation in user-count units, overall and per interval.
 
-    With holdout = n, this same fit runs on the data minus its last n samples
-    (releases falling inside the held-out tail are dropped, never invented)
-    and the held-out tail is forecast by continuing the last fitted
-    interval's rates from the cut; the tail RMSE is reported.  The truncated
+    With holdout = n, the same samples are fitted again against the prefix
+    schedule that ends n steps early (releases falling inside the held-out
+    tail are dropped, never invented), which reads only the samples up to
+    the cut.  The held-out tail is forecast by continuing the last fitted
+    interval's rates from the cut, and the tail RMSE is reported.  The
     prefix must itself pass the identifiability conditions or the holdout
-    result is marked not ok.
+    result is marked not ok.  holdout is checked before any fit.
     """
     traj = dataset.trajectory
     sched = dataset.schedule
     n = dataset.population
-    system = build_regression(traj, sched)
-    report = check_identifiability(system)
-    if not report.overall:
+    if holdout is not None:
+        holdout = _check_count(holdout, "holdout")
+        cut = sched.final_step - holdout
+        if cut < 2:
+            raise ValueError(f"holdout {holdout} leaves no usable prefix (cut at step {cut})")
+    report, result = _fit(traj, sched)
+    if result is None:
         return FitReport(dataset=dataset, ok=False, identifiability=report)
 
-    result = estimate(system)
     # the sampled recursion on the raw estimates: least-squares values may
     # leave the generative ranges, and the recursion is still defined there
     sim, _ = _recurse(sched, result.intervals_hat, traj.values[0], check=False)
@@ -455,28 +463,15 @@ def run_realdata_study(dataset: AlignedDataset, holdout: int | None = None) -> F
 
     holdout_result = None
     if holdout is not None:
-        holdout = _check_count(holdout, "holdout")
-        cut = sched.final_step - holdout
-        if cut < 2:
-            raise ValueError(f"holdout {holdout} leaves no usable prefix (cut at step {cut})")
-        prefix = run_realdata_study(
-            replace(
-                dataset,
-                trajectory=Trajectory(
-                    values=traj.values[: cut + 1], step_size=traj.step_size, population=n
-                ),
-                schedule=UpdateSchedule(
-                    update_steps=tuple(t for t in sched.update_steps if t < cut),
-                    final_step=cut,
-                    step_size=sched.step_size,
-                ),
-            )
+        prefix = UpdateSchedule(
+            tuple(t for t in sched.update_steps if t < cut), cut, sched.step_size
         )
+        prefix_report, prefix_result = _fit(traj, prefix)
         fc_rmse = None
-        if prefix.ok:
+        if prefix_result is not None:
             fc_arr, _ = _recurse(
                 UpdateSchedule((), holdout, sched.step_size),
-                prefix.estimation.intervals_hat[-1:],
+                prefix_result.intervals_hat[-1:],
                 traj.values[cut],
                 check=False,
             )
@@ -485,9 +480,9 @@ def run_realdata_study(dataset: AlignedDataset, holdout: int | None = None) -> F
         holdout_result = HoldoutResult(
             cut_step=cut,
             horizon=holdout,
-            ok=prefix.ok,
-            identifiability=prefix.identifiability,
-            estimation=prefix.estimation,
+            ok=prefix_result is not None,
+            identifiability=prefix_report,
+            estimation=prefix_result,
             forecast_rmse_counts=fc_rmse,
         )
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import Trajectory, UpdateSchedule, _check_population
-from .simulate import _read_csv, _records
+from .simulate import _read_csv
 
 __all__ = [
     "RawSeries",
@@ -80,10 +80,10 @@ def load_series(path: str | Path) -> RawSeries:
         if header is None or [c.strip().lower() for c in header] != ["date", "peak_players"]:
             raise ValueError(f"{path}: expected header 'date,peak_players', got {header}")
 
-    def row_loop(reader):
+    def row_loop(records):
         start = None
         counts: list[int] = []
-        for lineno, row in _records(reader):
+        for lineno, row in records:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 2:

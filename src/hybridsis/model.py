@@ -73,10 +73,9 @@ class IntervalParams:
     alpha: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        if self.alpha is not None:
-            object.__setattr__(self, "alpha", float(self.alpha))
+        # non-finite rates pass: a diverged least-squares estimate is still reported
+        for key in ("beta", "gamma") if self.alpha is None else ("beta", "gamma", "alpha"):
+            object.__setattr__(self, key, _number(getattr(self, key), key, finite=False))
 
 
 def reproduction_number(params: IntervalParams) -> float:

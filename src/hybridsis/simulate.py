@@ -482,11 +482,11 @@ def _read_csv(path, check_header, dtype, parse, row_loop, usecols=None):
     parses the body as `dtype` (warnings as errors) and parse(rows) returns
     the result, or None, or raises ValueError to reject it.  A rejected body,
     a file the csv module may read differently, or a stream that cannot seek
-    (a pipe is read once) goes to row_loop(reader), which names the bad line.
+    (a pipe is read once) goes to row_loop(records) of _records, naming the bad line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        check_header(next(reader, None))
+        records = _records(csv.reader(fh), path)
+        check_header(next(records, (0, None))[1])
         if fh.seekable():
             try:  # any error or warning here ("input contained no data" too) re-reads below
                 with warnings.catch_warnings(), np.errstate(all="ignore"):
@@ -499,18 +499,23 @@ def _read_csv(path, check_header, dtype, parse, row_loop, usecols=None):
             except (ValueError, Warning):
                 pass
             fh.seek(0)  # rejected: re-read line by line, to name the bad line
-            reader = csv.reader(fh)  # a new reader counts lines from the top again
-            next(reader)
-        return row_loop(reader)
+            records = _records(csv.reader(fh), path)  # counts lines from the top again
+            next(records)
+        return row_loop(records)
 
 
-def _records(reader):
+def _records(reader, path):
     """(line, row) for each record left in reader, line being the record's
-    first physical line: a quoted field can span lines, in the header too."""
+    first physical line: a quoted field can span lines, in the header too.
+    A record the csv module rejects (a field over its size limit) raises
+    ValueError naming path and that line."""
     line = reader.line_num
-    for row in reader:
-        yield line + 1, row
-        line = reader.line_num
+    try:
+        for row in reader:
+            yield line + 1, row
+            line = reader.line_num
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{line + 1}: {exc}") from exc
 
 
 def read_trajectory_csv(path: str | Path) -> Trajectory:
@@ -532,9 +537,9 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
             return Trajectory(values=x, step_size=_grid_step(path, t, linenos=steps))
         return None
 
-    def row_loop(reader):
+    def row_loop(records):
         values, times, linenos = [], [], []
-        for lineno, row in _records(reader):
+        for lineno, row in records:
             if not row:
                 continue
             if len(row) < 3:

@@ -32,7 +32,7 @@ def forbid_row_loop(monkeypatch, module) -> None:
     read_csv = module._read_csv
 
     def c_parser_only(path, check_header, dtype, parse, row_loop, usecols=None):
-        def row_loop_reached(reader):
+        def row_loop_reached(records):
             raise AssertionError(f"{path} reached the row loop")
 
         return read_csv(path, check_header, dtype, parse, row_loop_reached, usecols)

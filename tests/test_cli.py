@@ -492,6 +492,25 @@ def test_fit_rejects_a_missing_day_at_its_line(tmp_path, capsys):
     )
 
 
+def test_a_field_over_the_csv_limit_exits_2_naming_its_line(tmp_path, capsys):
+    # the csv module rejects a field over 128 KiB; both readers name its record's line
+    data, updates, _ = fit_fixture(tmp_path)
+    lines = data.read_text().splitlines()
+    lines[3] += "0" * 140_000  # the count on line 4
+    data.write_text("\n".join(lines) + "\n")
+    traj = tmp_path / "t.csv"
+    traj.write_text("step,time,x\n0,0,0.5," + "a" * 140_000 + "\n1,1,0.6\n")
+    schedule = write_schedule(tmp_path / "s.json", [], 1)
+    for argv, where in (
+        (("fit", "--data", str(data), "--updates", str(updates), "--population", "1000"),
+         f"{data}:4"),
+        (("identify", "--traj", str(traj), "--schedule", str(schedule)), f"{traj}:2"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {where}: field larger than field limit (131072)\n"
+
+
 def test_fit_rejects_a_release_file_that_starts_like_json_but_is_not(tmp_path, capsys):
     data, updates, start = fit_fixture(tmp_path)
     updates.write_text(f'["{start + dt.timedelta(days=30)}"\n')

@@ -155,20 +155,28 @@ def test_failed_cells_do_not_stop_the_sweep(demo_scenario):
 
 def test_a_cell_estimates_no_trial_after_its_first_failure(demo_scenario, monkeypatch):
     # at sigma = 0 every observation trial is the noiseless path from interval
-    # 0's equilibrium, so each cell's first trial fails and the rest are skipped
+    # 0's equilibrium, so each cell's first trial fails and the rest are
+    # skipped before their data are drawn
     build, built = experiments.build_regression, []
+    noise, noised = experiments.add_observation_noise, []
 
     def counting_build(traj, schedule):
         built.append(schedule.step_size)
         return build(traj, schedule)
 
+    def counting_noise(traj, sigma, seed):
+        noised.append(traj.step_size)
+        return noise(traj, sigma, seed)
+
     monkeypatch.setattr(experiments, "build_regression", counting_build)
+    monkeypatch.setattr(experiments, "add_observation_noise", counting_noise)
     plan = ExperimentPlan(
         scenario=Scenario(spec=demo_scenario.spec, x0=0.6), regimes=("observation",),
         h_values=(1.0, 0.5), sigma=0.0, trials=3, fine_substeps=2,
     )
     result = run_noise_study(plan)
     assert built == [1.0, 0.5]
+    assert noised == [1.0, 0.5]
     assert all(c.failed and c.theta_hats == [] for c in result.cells)
 
 
@@ -342,14 +350,53 @@ def test_realdata_study_holdout_validation():
         run_realdata_study(dataset, holdout=0)
 
 
-def test_realdata_study_reports_unidentifiable():
-    sched = UpdateSchedule((5,), 12, 1.0)
+@pytest.mark.parametrize("holdout", [0, -3, 2.5, "x", 500, 11])
+def test_realdata_study_checks_the_holdout_before_the_fit(holdout):
+    # an unidentifiable dataset never reaches its holdout, which is checked first
+    with pytest.raises(ValueError, match="holdout"):
+        run_realdata_study(unidentifiable_dataset(), holdout=holdout)
+
+
+def test_realdata_study_holdout_replays_twice_and_fits_the_same_samples(monkeypatch):
+    # one replay of the fit and one of the tail; the prefix is fitted on the
+    # dataset's own samples, with no second study
+    dataset, _ = synthetic_dataset()
+    recurse, replays = experiments._recurse, []
+    build, built = experiments.build_regression, []
+    study, studies = experiments.run_realdata_study, []
+
+    def counting_recurse(schedule, *args, **kw):
+        replays.append(schedule.final_step)
+        return recurse(schedule, *args, **kw)
+
+    def counting_build(traj, schedule):
+        built.append((traj, schedule.final_step))
+        return build(traj, schedule)
+
+    def counting_study(*args, **kw):
+        studies.append(args)
+        return study(*args, **kw)
+
+    monkeypatch.setattr(experiments, "_recurse", counting_recurse)
+    monkeypatch.setattr(experiments, "build_regression", counting_build)
+    monkeypatch.setattr(experiments, "run_realdata_study", counting_study)
+    report = study(dataset, holdout=20)  # a call from inside reaches the counter
+    assert report.holdout.ok
+    assert replays == [120, 20]
+    assert [(t is dataset.trajectory, step) for t, step in built] == [(True, 120), (True, 100)]
+    assert studies == []
+
+
+def unidentifiable_dataset():
     flat = Trajectory(values=np.full(13, 0.4), step_size=1.0, population=1000)
-    dataset = AlignedDataset(
-        trajectory=flat, schedule=sched, population=1000,
+    return AlignedDataset(
+        trajectory=flat, schedule=UpdateSchedule((5,), 12, 1.0), population=1000,
         start_date=dt.date(2024, 1, 1),
     )
-    report = run_realdata_study(dataset)
+
+
+def test_realdata_study_reports_unidentifiable():
+    report = run_realdata_study(unidentifiable_dataset())
     assert not report.ok
     assert report.estimation is None
     assert report.rmse_counts is None

@@ -197,6 +197,10 @@ SERIES_CORPUS = {
     ),
     "nul_byte": (H + b"2024-03-01,10\n2024-03-02,2\x000\n", (ValueError, "{path}:3: bad count '2\\x000'")),
     "no_final_newline": (H + b"2024-03-01,10\n2024-03-02,20", ("2024-03-01", [10, 20])),
+    "field_over_csv_limit": (
+        H + b"2024-03-01,10\n2024-03-02," + b"2" * 140_000 + b"\n",
+        (ValueError, "{path}:3: field larger than field limit (131072)"),
+    ),
     # a record is named by its first physical line, after a header or a
     # quoted field that spans two
     "two_line_header": (

@@ -55,9 +55,11 @@ DEMO_SCHED = UpdateSchedule(update_steps=(30, 90), final_step=150, step_size=1.0
 
 
 def test_interval_params_coerce_and_freeze():
-    p = IntervalParams(beta=1, gamma="0.2")
+    p = IntervalParams(beta=1, gamma=0.2)
     assert isinstance(p.beta, float) and p.beta == 1.0
     assert p.gamma == 0.2
+    with pytest.raises(ValueError, match="gamma must be a number, got '0.2'"):
+        IntervalParams(beta=1, gamma="0.2")
     assert p.alpha is None
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.beta = 2.0

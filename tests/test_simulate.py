@@ -1,5 +1,4 @@
 import contextlib
-import csv
 import decimal
 import hashlib
 import io
@@ -877,8 +876,13 @@ READER_CORPUS = {
     ),
     "field_over_csv_limit": (
         HEADER + b"0,0,0.5," + b"a" * 140_000 + b"\n1,1,0.6\n",
-        csv.Error,
-        "field larger than field limit (131072)",
+        ValueError,
+        "{path}:2: field larger than field limit (131072)",
+    ),
+    "header_over_csv_limit": (
+        b"step,time,x" + b"a" * 140_000 + b"\n0,0,0.5\n1,1,0.6\n",
+        ValueError,
+        "{path}:1: field larger than field limit (131072)",
     ),
     # a record is named by its first physical line, after a header or a
     # quoted field that spans two
